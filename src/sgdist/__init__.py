@@ -32,6 +32,7 @@ from .core import (
 from .distance import (
     IncompatibilityWitness,
     PairDistanceSummary,
+    SignedDistances,
     associated_complete,
     brute_force_summary,
     distance_matrix,
@@ -39,6 +40,7 @@ from .distance import (
     is_compatible,
     least_incompatible_witness,
     signed_bfs,
+    signed_distances,
 )
 from .products import (
     ConjectureCandidate,

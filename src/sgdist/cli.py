@@ -45,7 +45,7 @@ def _emit(args, payload: str) -> None:
 
 def _matrix_payload(mat: np.ndarray, fmt: str) -> str:
     if fmt == "csv":
-        return "\n".join(",".join(str(int(x)) for x in row) for row in mat) + "\n"
+        return "\n".join(",".join(map(str, row)) for row in mat.tolist()) + "\n"
     return json.dumps({"order": int(mat.shape[0]), "entries": mat.tolist()})
 
 
@@ -137,9 +137,8 @@ def _cmd_dist_formula(args) -> int:
     else:
         formula = spectra.lexicographic_distance_formula(g1, g2)
         prod = products.lexicographic(g1, g2)
-    direct_max = distance.distance_matrix(prod, "max")
-    direct_min = distance.distance_matrix(prod, "min")
-    ok = np.array_equal(formula, direct_max) and np.array_equal(formula, direct_min)
+    direct = distance.signed_distances(prod)
+    ok = np.array_equal(formula, direct.d_max) and np.array_equal(formula, direct.d_min)
     if not ok:
         print("formula route disagrees with direct distance computation", file=sys.stderr)
         return EXIT_MISMATCH

@@ -265,23 +265,45 @@ def is_connected(g: SignedGraph) -> bool:
 
 
 def is_two_connected(g: SignedGraph) -> bool:
-    """Connected, at least 3 vertices, and no cut vertex (checked by deletion)."""
-    if g.n < 3 or not is_connected(g):
+    """Connected, at least 3 vertices, and no cut vertex.
+
+    One iterative depth-first search from vertex 0 computes Tarjan's
+    low-links: a non-root vertex p is a cut vertex iff some DFS child c
+    has low[c] >= disc[p], and the root is one iff it has two DFS children.
+    """
+    n = g.n
+    if n < 3:
         return False
-    for v in range(g.n):
-        # BFS over the remaining vertices from any other start.
-        start = 0 if v != 0 else 1
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w, _ in g.adjacency[u]:
-                if w != v and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != g.n - 1:
-            return False
-    return True
+    adj = g.adjacency
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    disc[0] = 0
+    found = 1
+    root_children = 0
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        u, nbrs = stack[-1]
+        for w, _ in nbrs:
+            if disc[w] < 0:
+                disc[w] = low[w] = found
+                found += 1
+                parent[w] = u
+                stack.append((w, iter(adj[w])))
+                break
+            if w != parent[u] and disc[w] < low[u]:
+                low[u] = disc[w]
+        else:
+            stack.pop()
+            p = parent[u]
+            if p == 0:
+                root_children += 1
+            elif p > 0:
+                if low[u] >= disc[p]:
+                    return False
+                if low[u] < low[p]:
+                    low[p] = low[u]
+    return found == n and root_children == 1
 
 
 def is_geodetic(g: SignedGraph) -> bool:

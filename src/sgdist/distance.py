@@ -6,6 +6,11 @@ distances are d_max = sigma_max * d and d_min = sigma_min * d where
 sigma_max / sigma_min are the largest / smallest achievable shortest-path
 signs.  A graph is (distance-)compatible when sigma_max = sigma_min for
 every pair, i.e. the two distance matrices coincide.
+
+All-pairs results (both matrices, the incompatible pairs, compatibility,
+the associated complete graph) come from `signed_distances`, one BFS run
+from every source at once over Python-int bitsets.  The per-source
+`signed_bfs` is kept for reconstructing witness paths.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from .core import SignedGraph, is_connected
 
 __all__ = [
     "PairDistanceSummary",
+    "SignedDistances",
+    "signed_distances",
     "IncompatibilityWitness",
     "signed_bfs",
     "distance_matrix",
@@ -99,14 +106,118 @@ def signed_bfs(g: SignedGraph, s: int) -> list[PairDistanceSummary | None]:
     return out
 
 
+_DISCONNECTED = "graph is disconnected; signed distances are undefined"
+
+
 def _require_connected(g: SignedGraph) -> None:
     if not is_connected(g):
-        raise ValueError("graph is disconnected; signed distances are undefined")
+        raise ValueError(_DISCONNECTED)
 
 
-def _all_pairs(g: SignedGraph) -> list[list[PairDistanceSummary]]:
-    _require_connected(g)
-    return [signed_bfs(g, s) for s in range(g.n)]  # type: ignore[return-value]
+@dataclass(frozen=True, eq=False)
+class SignedDistances:
+    """All-pairs hop distances and achievable shortest-path signs.
+
+    `dist[u, v]` is the hop distance (int32); `pos[u, v]` / `neg[u, v]`
+    say whether a positive / negative shortest u-v path exists.  The
+    diagonal has distance 0 and only the (empty, positive) path.  All
+    three arrays are symmetric and read-only.
+    """
+
+    dist: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+
+    @property
+    def d_max(self) -> np.ndarray:
+        """D^max as int64: sigma_max * d, with sigma_max = +1 iff pos."""
+        d = self.dist.astype(np.int64)
+        return np.where(self.pos, d, -d)
+
+    @property
+    def d_min(self) -> np.ndarray:
+        """D^min as int64: sigma_min * d, with sigma_min = -1 iff neg."""
+        d = self.dist.astype(np.int64)
+        return np.where(self.neg, -d, d)
+
+    @property
+    def incompatible(self) -> np.ndarray:
+        """Boolean matrix of pairs with shortest paths of both signs."""
+        return self.pos & self.neg
+
+
+def _bit_rows(cols: list[int], n: int) -> np.ndarray:
+    """Bool array whose row i holds bits 0..n-1 of the Python int cols[i]."""
+    nb = (n + 7) // 8
+    buf = b"".join(x.to_bytes(nb, "little") for x in cols)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(cols), nb)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def signed_distances(g: SignedGraph) -> SignedDistances:
+    """Signed all-pairs distances from one BFS run from every source at once.
+
+    Each vertex v carries Python-int bitsets over sources: bit s of
+    `unseen[v]` is set while v is still unreached from s, and bit s of the
+    frontier sets `fpos[v]` / `fneg[v]` is set when v was reached from s at
+    the current level by a positive / negative shortest path.  One level
+    ORs, for every vertex not yet reached from all sources, its neighbours'
+    frontier bits, swapping the two signs across negative edges; the bits
+    not seen before form the vertex's next frontier.  Distances are stored
+    bit-sliced: bit s of `planes[k][v]` is bit k of d(s, v).  Distances
+    are symmetric, so the bitset of v read as a row is row v of each matrix.
+
+    Raises ValueError on a disconnected graph.
+    """
+    n = g.n
+    adj = g.adjacency
+    full = (1 << n) - 1
+    unseen = [full ^ (1 << v) for v in range(n)]
+    fpos = [1 << v for v in range(n)]
+    fneg = [0] * n
+    pos = fpos[:]
+    neg = [0] * n
+    planes: list[list[int]] = []
+    active = [v for v in range(n) if unseen[v]]
+    level = 0
+    while active:
+        level += 1
+        if level == 1 << len(planes):
+            planes.append([0] * n)
+        level_planes = [p for k, p in enumerate(planes) if level >> k & 1]
+        npos = [0] * n
+        nneg = [0] * n
+        reached = False
+        for v in active:
+            ap = an = 0
+            for u, sgn in adj[v]:
+                if sgn > 0:
+                    ap |= fpos[u]
+                    an |= fneg[u]
+                else:
+                    ap |= fneg[u]
+                    an |= fpos[u]
+            new = (ap | an) & unseen[v]
+            if new:
+                reached = True
+                unseen[v] ^= new
+                npos[v] = p = ap & new
+                nneg[v] = q = an & new
+                pos[v] |= p
+                neg[v] |= q
+                for plane in level_planes:
+                    plane[v] |= new
+        if not reached:
+            raise ValueError(_DISCONNECTED)
+        fpos, fneg = npos, nneg
+        active = [v for v in active if unseen[v]]
+    dist = np.zeros((n, n), dtype=np.int32)
+    for k, plane in enumerate(planes):
+        dist[_bit_rows(plane, n)] += 1 << k
+    out = SignedDistances(dist=dist, pos=_bit_rows(pos, n), neg=_bit_rows(neg, n))
+    for a in (out.dist, out.pos, out.neg):
+        a.flags.writeable = False
+    return out
 
 
 def _check_which(which: str) -> str:
@@ -123,31 +234,24 @@ def distance_matrix(g: SignedGraph, which: str = "max") -> np.ndarray:
     diagonal is zero.  Requires a connected graph.
     """
     w = _check_which(which)
-    rows = _all_pairs(g)
-    d = np.zeros((g.n, g.n), dtype=np.int64)
-    for u in range(g.n):
-        for v in range(g.n):
-            summ = rows[u][v]
-            d[u, v] = summ.d_max if w == "max" else summ.d_min
-    return d
+    sd = signed_distances(g)
+    return sd.d_max if w == "max" else sd.d_min
+
+
+def _sorted_pairs(sd: SignedDistances) -> list[tuple[int, int]]:
+    u, v = np.nonzero(np.triu(sd.incompatible, k=1))
+    order = np.lexsort((v, u, sd.dist[u, v]))
+    return list(zip(u[order].tolist(), v[order].tolist()))
 
 
 def incompatible_pairs(g: SignedGraph) -> list[tuple[int, int]]:
     """Vertex pairs with shortest paths of both signs, sorted by (distance, u, v)."""
-    rows = _all_pairs(g)
-    found = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            summ = rows[u][v]
-            if not summ.compatible:
-                found.append((summ.d, u, v))
-    found.sort()
-    return [(u, v) for _, u, v in found]
+    return _sorted_pairs(signed_distances(g))
 
 
 def is_compatible(g: SignedGraph) -> bool:
     """True iff every vertex pair has all its shortest paths of one sign."""
-    return not incompatible_pairs(g)
+    return not signed_distances(g).incompatible.any()
 
 
 @dataclass(frozen=True)
@@ -197,7 +301,9 @@ def _reconstruct_path(g: SignedGraph, summaries, s: int, v: int, target: int) ->
     return path
 
 
-def _disjoint_opposite_paths(g: SignedGraph, u: int, v: int) -> tuple[list[int], list[int], int, int]:
+def _disjoint_opposite_paths(
+    g: SignedGraph, sd: SignedDistances, u: int, v: int
+) -> tuple[list[int], list[int], int, int]:
     """Internally disjoint opposite-sign shortest u-v paths.
 
     For a minimum-distance incompatible pair any positive and negative
@@ -215,9 +321,8 @@ def _disjoint_opposite_paths(g: SignedGraph, u: int, v: int) -> tuple[list[int],
     # between consecutive common vertices and recurse on its endpoints.
     common = sorted(({u, v} | (set(p_pos) & set(p_neg))), key=lambda w: summaries[w].d)
     for a, b in zip(common, common[1:]):
-        seg_sum = signed_bfs(g, a)[b]
-        if seg_sum is not None and not seg_sum.compatible:
-            return _disjoint_opposite_paths(g, a, b)
+        if sd.incompatible[a, b]:
+            return _disjoint_opposite_paths(g, sd, a, b)
     raise AssertionError("intersecting opposite-sign paths with no closer incompatible pair")
 
 
@@ -228,11 +333,12 @@ def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:
     2k whose diametrically opposite vertices are the returned pair, and no
     incompatible pair exists at distance below k.
     """
-    pairs = incompatible_pairs(g)
+    sd = signed_distances(g)
+    pairs = _sorted_pairs(sd)
     if not pairs:
         return None
     u, v = pairs[0]
-    p_pos, p_neg, wu, wv = _disjoint_opposite_paths(g, u, v)
+    p_pos, p_neg, wu, wv = _disjoint_opposite_paths(g, sd, u, v)
     cycle = tuple(p_pos + p_neg[-2:0:-1])
     return IncompatibilityWitness(
         pair=(wu, wv),
@@ -252,15 +358,18 @@ def associated_complete(g: SignedGraph, which: str = "max") -> SignedGraph:
     w = _check_which(which)
     if g.n < 2:
         raise ValueError("associated complete graph needs at least 2 vertices")
-    rows = _all_pairs(g)
+    sd = signed_distances(g)
+    # sigma_max is +1 iff a positive shortest path exists; sigma_min is -1
+    # iff a negative one does.
+    signs = np.where(sd.pos, 1, -1) if w == "max" else np.where(sd.neg, -1, 1)
+    signs = signs.tolist()
     edges = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.has_edge(u, v):
                 edges.append((u, v, g.sign(u, v)))
             else:
-                summ = rows[u][v]
-                edges.append((u, v, summ.sigma_max if w == "max" else summ.sigma_min))
+                edges.append((u, v, signs[u][v]))
     return SignedGraph(g.n, tuple(edges))
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import SignedGraph
-from .distance import distance_matrix
+from .distance import signed_distances
 
 __all__ = [
     "IntPolynomial",
@@ -132,24 +132,34 @@ class _Int64OverflowRisk(Exception):
 _I64_LIMIT = 2**63 - 1
 
 
+def _abs_max(x: np.ndarray) -> int:
+    """Largest |entry| as a Python int (np.abs would wrap at INT64_MIN)."""
+    if not x.size:
+        return 0
+    return max(int(x.max()), -int(x.min()))
+
+
 def _char_poly_batch_int64(a: np.ndarray) -> np.ndarray:
     """Faddeev-LeVerrier over a stack of matrices in int64.
 
     Exact as long as every intermediate stays inside int64; a bound check
-    before each step raises _Int64OverflowRisk otherwise.
+    before each step raises _Int64OverflowRisk otherwise.  With |a| <= amax
+    and |b| <= bmax, each entry of a @ b is at most n*amax*bmax and the
+    trace at most n*n*amax*bmax, so the step runs only when the latter
+    fits in int64.
     """
     count, n, _ = a.shape
-    amax = int(np.abs(a).max(initial=0))
+    amax = _abs_max(a)
     eye = np.eye(n, dtype=np.int64)
     coeffs = np.zeros((count, n + 1), dtype=np.int64)
     coeffs[:, 0] = 1
     mk = np.zeros_like(a)
     for k in range(1, n + 1):
         c_prev = coeffs[:, k - 1]
-        if int(np.abs(mk).max(initial=0)) + int(np.abs(c_prev).max(initial=0)) > _I64_LIMIT:
+        if _abs_max(mk) + _abs_max(c_prev) > _I64_LIMIT:
             raise _Int64OverflowRisk
         b = mk + c_prev[:, None, None] * eye
-        if amax and int(np.abs(b).max(initial=0)) > _I64_LIMIT // (n * amax):
+        if amax and _abs_max(b) > _I64_LIMIT // (n * n * amax):
             raise _Int64OverflowRisk
         mk = a @ b
         tr = np.trace(mk, axis1=1, axis2=2)
@@ -199,11 +209,10 @@ def compatible_distance_matrix(g: SignedGraph) -> np.ndarray:
 
     Raises if the max and min matrices differ, i.e. if g is incompatible.
     """
-    dmax = distance_matrix(g, "max")
-    dmin = distance_matrix(g, "min")
-    if not np.array_equal(dmax, dmin):
+    sd = signed_distances(g)
+    if sd.incompatible.any():
         raise ValueError("graph is incompatible: max and min distance matrices differ")
-    return dmax
+    return sd.d_max
 
 
 def _assoc_sign_matrix(d: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import sgdist as sg
-from sgdist.cli import run
+from sgdist.cli import _matrix_payload, run
 
 
 @pytest.fixture
@@ -76,6 +77,21 @@ def test_dist_json_and_csv(fixtures, capsys):
     assert payload["entries"][0] == [0, -1, -2, 1]
     code, out, _ = invoke(capsys, "dist", fixtures["c4"], "--which", "min", "--format", "csv")
     assert out.splitlines()[0] == "0,-1,-2,1"
+
+
+def test_dist_csv_exact_bytes(capsys, tmp_path):
+    # All-negative odd cycle: geodetic, every path of length d has sign (-1)^d.
+    n = 23
+    path = tmp_path / "c23n.sg"
+    path.write_text(sg.serialize_edge_list(sg.cycle_graph(n, [-1] * n)), encoding="utf-8")
+    dist = [[min(abs(u - v), n - abs(u - v)) for v in range(n)] for u in range(n)]
+    want = "".join(",".join(str((-1) ** d * d) for d in row) + "\n" for row in dist)
+    code, out, _ = invoke(capsys, "dist", str(path), "--which", "min", "--format", "csv")
+    assert code == 0 and out == want
+    big = np.array([[0, -12, 9223372036854775807], [-12, 0, -9223372036854775808], [7, -345, 0]])
+    assert _matrix_payload(big, "csv") == (
+        "0,-12,9223372036854775807\n-12,0,-9223372036854775808\n7,-345,0\n"
+    )
 
 
 def test_product_tensor_disconnected_error(fixtures, capsys):

@@ -196,6 +196,21 @@ def test_two_connected_matches_articulation_oracle():
         assert sg.is_two_connected(g) == expected
 
 
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (sg.cycle_graph(1000, [1] * 1000), True),
+        (sg.path_graph(1000, [1] * 999), False),
+        (sg.complete_graph(2), False),
+        (sg.SignedGraph(3, ((0, 1, 1), (1, 2, -1))), False),
+        (sg.SignedGraph(4, ((0, 1, 1), (1, 2, 1), (0, 2, 1))), False),
+    ],
+    ids=["C1000", "P1000", "K2", "P3", "K3+isolated"],
+)
+def test_two_connected_large_and_edge_cases(g, expected):
+    assert sg.is_two_connected(g) is expected
+
+
 # -- net degree ---------------------------------------------------------------
 
 def test_net_degree_petersen():

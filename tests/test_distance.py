@@ -1,7 +1,9 @@
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sgdist as sg
 from conftest import (
@@ -102,6 +104,108 @@ def test_signed_bfs_agrees_with_oracle_on_random_graphs():
             for v in range(g.n):
                 if v != u:
                     assert out[v] == sg.brute_force_summary(g, u, v)
+
+
+# -- all-sources signed distances -------------------------------------------
+
+def bfs_rows(g):
+    """(dist, pos, neg) arrays assembled from one signed_bfs per source."""
+    dist = np.zeros((g.n, g.n), dtype=np.int64)
+    pos = np.zeros((g.n, g.n), dtype=bool)
+    neg = np.zeros((g.n, g.n), dtype=bool)
+    for s in range(g.n):
+        for v, summ in enumerate(sg.signed_bfs(g, s)):
+            dist[s, v] = summ.d
+            pos[s, v] = summ.sigma_max == 1
+            neg[s, v] = summ.sigma_min == -1
+    return dist, pos, neg
+
+
+def assert_matches_bfs_rows(g):
+    sd = sg.signed_distances(g)
+    dist, pos, neg = bfs_rows(g)
+    assert sd.dist.dtype == np.int32 and sd.pos.dtype == bool and sd.neg.dtype == bool
+    assert np.array_equal(sd.dist, dist)
+    assert np.array_equal(sd.pos, pos)
+    assert np.array_equal(sd.neg, neg)
+    return sd
+
+
+@st.composite
+def connected_signed_graphs(draw, max_n: int = 10):
+    """A random spanning tree plus random extra edges, all randomly signed."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    sign = st.sampled_from((1, -1))
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(min_value=0, max_value=v - 1)), v)] = draw(sign)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in edges and draw(st.booleans()):
+                edges[(u, v)] = draw(sign)
+    return sg.SignedGraph.from_edges(n, [(u, v, s) for (u, v), s in edges.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_signed_graphs())
+def test_signed_distances_match_bfs_rows_and_oracle(g):
+    sd = assert_matches_bfs_rows(g)
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v:
+                summ = sg.brute_force_summary(g, u, v)
+                assert (sd.dist[u, v], sd.pos[u, v], sd.neg[u, v]) == (
+                    summ.d,
+                    summ.sigma_max == 1,
+                    summ.sigma_min == -1,
+                )
+                assert (sd.d_max[u, v], sd.d_min[u, v]) == (summ.d_max, summ.d_min)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
+def test_signed_distances_orders_around_byte_and_word_edges(n):
+    rng = random.Random(n)
+    edges = [(rng.randrange(v), v, rng.choice((1, -1))) for v in range(1, n)]
+    for _ in range(n if n > 1 else 0):
+        u, v = sorted(rng.sample(range(n), 2))
+        if all((a, b) != (u, v) for a, b, _ in edges):
+            edges.append((u, v, rng.choice((1, -1))))
+    assert_matches_bfs_rows(sg.SignedGraph.from_edges(n, edges))
+
+
+def test_signed_distances_long_cycle():
+    rng = random.Random(257)
+    g = sg.cycle_graph(257, [rng.choice((1, -1)) for _ in range(257)])
+    sd = assert_matches_bfs_rows(g)
+    assert sd.dist.max() == 128
+    assert sd.d_max.dtype == np.int64 and sd.d_min.dtype == np.int64
+    assert not (sd.dist.flags.writeable or sd.pos.flags.writeable or sd.neg.flags.writeable)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [sg.SignedGraph(3, ((0, 1, 1),)), sg.SignedGraph(2, ()), sg.SignedGraph(4, ((0, 1, -1), (2, 3, 1)))],
+)
+def test_signed_distances_rejects_disconnected(g):
+    msg = re.escape("graph is disconnected; signed distances are undefined")
+    with pytest.raises(ValueError, match=msg):
+        sg.signed_distances(g)
+    with pytest.raises(ValueError, match=msg):
+        sg.incompatible_pairs(g)
+
+
+def test_matrices_and_pairs_match_bfs_reference_on_gnp60():
+    rng = random.Random(60)
+    g = sg.random_signed_gnp(60, 0.1, rng)
+    while not sg.is_connected(g):
+        g = sg.random_signed_gnp(60, 0.1, rng)
+    dist, pos, neg = bfs_rows(g)
+    assert np.array_equal(sg.distance_matrix(g, "max"), np.where(pos, dist, -dist))
+    assert np.array_equal(sg.distance_matrix(g, "min"), np.where(neg, -dist, dist))
+    want = sorted((dist[u, v], u, v) for u in range(g.n) for v in range(u + 1, g.n) if pos[u, v] and neg[u, v])
+    got = sg.incompatible_pairs(g)
+    assert want and got == [(u, v) for _, u, v in want]
+    assert all(type(x) is int for p in got for x in p)
 
 
 # -- distance matrices --------------------------------------------------------

@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sgdist as sg
+from sgdist.catalog import _distance_matrices_for_codes
+from sgdist.spectra import _char_poly_batch_int64
 from conftest import naive_charpoly, random_balanced_connected, random_connected_signed
 
 C4_ONE_NEG = sg.cycle_graph(4, [-1, 1, 1, 1])
@@ -122,6 +125,41 @@ def test_char_poly_batch_overflow_falls_back():
     batch = sg.char_poly_batch(m[None, :, :])
     assert batch[0].coeffs == sg.char_poly(m).coeffs
     assert batch[0].coeffs[-1] == 2**124
+
+
+def test_char_poly_batch_trace_overflow_regression():
+    # Every entry of a @ b fits in int64 here but their 2-term trace wraps.
+    m = np.array([[-1719420889, -1788038681], [1766298163, -1771283206]], dtype=np.int64)
+    batch = sg.char_poly_batch(m[None, :, :])
+    assert batch[0].coeffs == sg.char_poly(m).coeffs
+    assert batch[0].coeffs[-1] == 6203790782354533137
+
+
+def test_char_poly_batch_int64_min_entries():
+    lo = np.iinfo(np.int64).min
+    stack = np.array([[[lo, 0], [0, 0]], [[0, 1], [lo, 0]], [[lo, 1], [1, 1]]], dtype=np.int64)
+    want = [sg.char_poly(m).coeffs for m in stack]
+    assert [p.coeffs for p in sg.char_poly_batch(stack)] == want
+    assert [sg.char_poly_batch(m[None, :, :])[0].coeffs for m in stack] == want
+    assert want[0] == (1, 2**63, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=12, max_value=34), st.data())
+def test_char_poly_batch_exact_near_int64_guard(n, bits, data):
+    # Entry sizes from 2^12 to 2^34 put the int64 route on both sides of its guard.
+    entry = st.integers(min_value=-(2**bits), max_value=2**bits)
+    mats = np.array(
+        data.draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n), min_size=1, max_size=3)),
+        dtype=np.int64,
+    )
+    assert [p.coeffs for p in sg.char_poly_batch(mats)] == [sg.char_poly(m).coeffs for m in mats]
+
+
+def test_petersen_census_stays_on_int64_path():
+    codes = np.arange(2**15, dtype=np.int64)
+    coeffs = _char_poly_batch_int64(_distance_matrices_for_codes(codes))
+    assert coeffs.shape == (2**15, 11)
 
 
 def test_polynomial_rendering():
