@@ -1,4 +1,4 @@
-# Exact characteristic polynomials, the Jacobi eigensolver, and the
+# Exact characteristic polynomials, numeric spectra, and the
 # analytic spectrum of lexicographic products with a signed K2.
 
 import numpy as np
@@ -17,7 +17,7 @@ assert poly.coeffs[-1] == (-(10**7)) ** 6 and poly(10**7) == 0
 d = sg.compatible_distance_matrix(sg.petersen_graph())
 print("f(D(+P)) =", sg.char_poly(d))
 
-# Numeric spectra come from cyclic Jacobi rotations, clustered into
+# Numeric spectra come from LAPACK (numpy eigvalsh), clustered into
 # (eigenvalue, multiplicity) pairs.
 spec = sg.eig_symmetric(d)
 print("spectrum:", spec)

@@ -68,7 +68,6 @@ from .spectra import (
     cluster_eigenvalues,
     compatible_distance_matrix,
     eig_symmetric,
-    jacobi_eigenvalues,
     kron,
     lex_k2_spectrum,
     lexicographic_distance_formula,

@@ -8,12 +8,14 @@ edges, then the five inner edges, then the five spokes.
 Every signing of the Petersen graph is geodetic, hence compatible, so each
 one has a single distance matrix D.  Grouping all 2^15 signings by the
 characteristic polynomial of D recovers exactly six classes, one per
-switching isomorphism type of minimal signed Petersen graph.
+switching isomorphism type of minimal signed Petersen graph.  The census
+computes one polynomial per switching class (64 of them, told apart by the
+signs of the 6 fundamental cycles of a spanning tree) and takes class sizes
+and representatives from array reductions over all codes.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -216,61 +218,89 @@ def _distance_matrices_for_codes(codes: np.ndarray) -> np.ndarray:
     return d
 
 
-def _census_chunk(bounds: tuple[int, int]) -> dict[tuple[int, ...], tuple[int, tuple[int, tuple[int, ...]]]]:
-    """Polynomial -> (count, best representative key) over a code range.
+def _fundamental_cycle_masks() -> list[int]:
+    """15-bit edge masks of the 6 fundamental cycles of a BFS spanning tree.
 
-    The representative key is (negative edge count, sign tuple); smaller is
-    better, making the census result independent of chunking.
+    Bit b stands for edge b of PETERSEN_EDGES.  A non-tree edge's cycle is
+    the edge plus the tree path between its ends, which is the XOR of the
+    ends' root-path masks.
     """
-    start, stop = bounds
-    codes = np.arange(start, stop, dtype=np.int64)
-    polys = char_poly_batch(_distance_matrices_for_codes(codes))
-    signs = _signs_for_codes(codes)
-    acc: dict[tuple[int, ...], tuple[int, tuple[int, tuple[int, ...]]]] = {}
-    for row, poly in zip(signs, polys):
-        key = poly.coeffs
-        sign_tuple = tuple(int(s) for s in row)
-        rep_key = (sum(1 for s in sign_tuple if s < 0), sign_tuple)
-        if key in acc:
-            count, best = acc[key]
-            acc[key] = (count + 1, min(best, rep_key))
-        else:
-            acc[key] = (1, rep_key)
-    return acc
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(10)]
+    for i, (u, v) in enumerate(PETERSEN_EDGES):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    root_path = {0: 0}
+    tree: set[int] = set()
+    queue = [0]
+    for x in queue:
+        for y, i in adj[x]:
+            if y not in root_path:
+                root_path[y] = root_path[x] | (1 << i)
+                tree.add(i)
+                queue.append(y)
+    return [
+        (1 << i) ^ root_path[u] ^ root_path[v]
+        for i, (u, v) in enumerate(PETERSEN_EDGES)
+        if i not in tree
+    ]
 
 
-def enumerate_petersen_signings(workers: int | None = None) -> PetersenClassTable:
+_CYCLE_MASKS = _fundamental_cycle_masks()
+
+
+def _switching_classes(codes: np.ndarray) -> np.ndarray:
+    """Switching class id in 0..63 per signing code: bit j is the parity of
+    the negative edges on fundamental cycle j.
+
+    Two signings of a connected graph are switching equivalent iff every
+    cycle has the same sign in both, and the fundamental cycles of a
+    spanning tree generate the cycle space (Zaslavsky, 1982).
+    """
+    ids = np.zeros_like(codes)
+    for j, mask in enumerate(_CYCLE_MASKS):
+        x = codes & mask
+        for shift in (8, 4, 2, 1):
+            x ^= x >> shift
+        ids |= (x & 1) << j
+    return ids
+
+
+def _representative_keys(codes: np.ndarray) -> np.ndarray:
+    """Order key per code: fewest negative edges first, then the
+    lexicographically smallest sign tuple.
+
+    Edge 0 is the first tuple position and -1 < +1, so among codes with
+    equal popcount the smaller tuple has the larger bit-reversed code.
+    """
+    bits = (codes[:, None] >> np.arange(15)) & 1
+    reversed_code = bits @ (1 << np.arange(14, -1, -1))
+    return (bits.sum(axis=1) << 15) | ((1 << 15) - 1 - reversed_code)
+
+
+def enumerate_petersen_signings() -> PetersenClassTable:
     """Census of all 2^15 Petersen signings by distance characteristic
     polynomial.
 
     Returns the six classes with sizes and a canonical representative per
     class (fewest negative edges, then lexicographically smallest sign
     vector).  Raises RuntimeError if the census does not produce exactly
-    the six known polynomials.  `workers` > 1 splits the code range over a
-    process pool; the merged result is identical for any worker count.
+    the six known polynomials.
+
+    Switching conjugates D by a diagonal +-1 matrix and so keeps its
+    characteristic polynomial: one polynomial per switching class (64
+    classes of 512 signings) covers every code.
     """
     total = 1 << 15
-    if workers and workers > 1:
-        chunk = 1 << 12
-        bounds = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-        with multiprocessing.Pool(workers) as pool:
-            partials = pool.map(_census_chunk, bounds)
-    else:
-        partials = [_census_chunk((0, total))]
-
-    merged: dict[tuple[int, ...], tuple[int, tuple[int, tuple[int, ...]]]] = {}
-    for part in partials:
-        for key, (count, best) in part.items():
-            if key in merged:
-                c0, b0 = merged[key]
-                merged[key] = (c0 + count, min(b0, best))
-            else:
-                merged[key] = (count, best)
+    codes = np.arange(total, dtype=np.int64)
+    class_ids = _switching_classes(codes)
+    ids, first = np.unique(class_ids, return_index=True)
+    polys = char_poly_batch(_distance_matrices_for_codes(codes[first]))
 
     expected = {poly: label for label, poly in PETERSEN_CLASS_POLYNOMIALS.items()}
-    if len(merged) != 6 or set(merged) != set(expected):
+    distinct = {p.coeffs for p in polys}
+    if len(distinct) != 6 or distinct != set(expected):
         raise RuntimeError(
-            f"Petersen census produced {len(merged)} polynomial classes; "
+            f"Petersen census produced {len(distinct)} polynomial classes; "
             "expected the six known ones"
         )
     # Anchor signings pin three labels independently of the polynomial table:
@@ -281,16 +311,23 @@ def enumerate_petersen_signings(workers: int | None = None) -> PetersenClassTabl
     for poly, label in zip(anchor_polys, ("+P", "P1", "P3,3")):
         if poly.coeffs != PETERSEN_CLASS_POLYNOMIALS[label]:
             raise RuntimeError(f"anchor signing for {label} has an unexpected polynomial")
+
+    label_of_class = np.zeros(1 << len(_CYCLE_MASKS), dtype=np.int64)
+    label_of_class[ids] = [_CLASS_ORDER.index(expected[p.coeffs]) for p in polys]
+    labels = label_of_class[class_ids]
+    sizes = np.bincount(labels, minlength=len(_CLASS_ORDER))
+    keys = _representative_keys(codes)
     classes = []
-    for label in _CLASS_ORDER:
+    for i, label in enumerate(_CLASS_ORDER):
+        members = labels == i
+        best = int(codes[members][np.argmin(keys[members])])
         poly = PETERSEN_CLASS_POLYNOMIALS[label]
-        count, (_, sign_tuple) = merged[poly]
         classes.append(
             PetersenClass(
                 label=label,
-                representative=petersen_signing(sign_tuple),
+                representative=petersen_signing([1 - 2 * ((best >> b) & 1) for b in range(15)]),
                 char_poly=IntPolynomial(poly),
-                size=count,
+                size=int(sizes[i]),
             )
         )
     table = PetersenClassTable(classes=tuple(classes))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -196,21 +195,8 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("SG_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        w = int(raw)
-    except ValueError:
-        raise ValueError(f"SG_THREADS must be an integer, got {raw!r}") from None
-    if w < 0:
-        raise ValueError(f"SG_THREADS must be >= 0, got {w}")
-    return w if w > 0 else (os.cpu_count() or 1)
-
-
 def _cmd_petersen_table(args) -> int:
-    table = catalog.enumerate_petersen_signings(workers=_workers_from_env())
+    table = catalog.enumerate_petersen_signings()
     payload = {
         "total_signings": table.total,
         "classes": [

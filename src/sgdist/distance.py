@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignedGraph, is_connected
+from .core import SignedGraph
 
 __all__ = [
     "PairDistanceSummary",
@@ -107,11 +107,6 @@ def signed_bfs(g: SignedGraph, s: int) -> list[PairDistanceSummary | None]:
 
 
 _DISCONNECTED = "graph is disconnected; signed distances are undefined"
-
-
-def _require_connected(g: SignedGraph) -> None:
-    if not is_connected(g):
-        raise ValueError(_DISCONNECTED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,11 +373,11 @@ def brute_force_summary(g: SignedGraph, u: int, v: int, max_n: int = 12) -> Pair
 
     Walks the BFS DAG from u by depth-limited DFS along distance-decreasing
     edges, multiplying signs path by path.  Kept independent of signed_bfs;
-    bounded to small graphs because enumeration is exhaustive.
+    bounded to small graphs because enumeration is exhaustive.  Raises
+    ValueError when the BFS from u leaves a vertex unreached.
     """
     if g.n > max_n:
         raise ValueError(f"oracle bound exceeded: n={g.n} > {max_n}")
-    _require_connected(g)
     dist = [-1] * g.n
     dist[u] = 0
     queue = deque([u])
@@ -392,6 +387,8 @@ def brute_force_summary(g: SignedGraph, u: int, v: int, max_n: int = 12) -> Pair
             if dist[y] < 0:
                 dist[y] = dist[x] + 1
                 queue.append(y)
+    if -1 in dist:
+        raise ValueError(_DISCONNECTED)
     signs: set[int] = set()
 
     def walk_back(x: int, acc: int) -> None:

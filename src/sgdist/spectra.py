@@ -2,9 +2,12 @@
 polynomials, and numeric distance spectra.
 
 Exact work (characteristic polynomials, the product formulas) happens in
-integer arithmetic; Python ints make the polynomial coefficients exact at
-any order.  Numeric spectra come from a cyclic Jacobi eigensolver with a
-gap-based multiplicity clustering.
+integer arithmetic.  Characteristic polynomials run the Faddeev-LeVerrier
+recurrence modulo word-size primes as float64 BLAS products, with enough
+primes to cover a Hadamard bound on the coefficients, and rebuild them by
+CRT: exact at any order and entry size, with no overflow fallback.
+Numeric spectra come from LAPACK (numpy eigvalsh) with a gap-based
+multiplicity clustering.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "lexicographic_distance_formula",
     "char_poly",
     "char_poly_batch",
-    "jacobi_eigenvalues",
     "cluster_eigenvalues",
     "eig_symmetric",
     "lex_k2_spectrum",
@@ -84,52 +86,46 @@ class IntPolynomial:
         return list(self.coeffs)
 
 
-def _as_int_rows(m) -> list[list[int]]:
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    rows = []
-    for row in a.tolist():
-        out = []
-        for x in row:
+# Faddeev-LeVerrier modulo word-size primes.  With every residue below p
+# and n * p^2 <= 2^53 (so n * (p-1)^2 < 2^53), each entry of a float64
+# product a @ b, a sum of n products of residues, is an exact integer, and
+# so is q * p in the reduction below: BLAS does exact modular matrix
+# products.  p > n makes every k = 1..n invertible mod p.
+_FLOAT_EXACT = 2**53
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+# Ceiling on the float64 working set of one modular pass; stacks and prime
+# sets that would exceed it are split (down to one matrix and one prime).
+# A pass holds at most six arrays of shape (primes, matrices, n, n).
+_WORK_BYTES = 32 << 20
+_LIVE_ARRAYS = 6
+
+
+def _int_stack(matrices, ndim: int) -> np.ndarray:
+    """A square matrix (ndim 2) or a stack of them (ndim 3) as int64, or as
+    an object array of Python ints when some entry lies outside int64.
+    Raises on a wrong shape or a non-integer entry."""
+    # Lists go through dtype=object: np.asarray would turn ints past int64
+    # into inexact floats.
+    a = matrices if isinstance(matrices, np.ndarray) else np.array(matrices, dtype=object)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        what = "square matrix" if ndim == 2 else "stack of square matrices"
+        raise ValueError(f"expected a {what}, got shape {a.shape}")
+    if a.dtype.kind in "bi":
+        return a.astype(np.int64)
+    flat = []
+    for x in a.ravel().tolist():
+        try:
             ix = int(x)
-            if ix != x:
-                raise ValueError(f"matrix entry {x!r} is not an integer")
-            out.append(ix)
-        rows.append(out)
-    return rows
-
-
-def char_poly(m) -> IntPolynomial:
-    """Exact char_poly det(lambda*I - M) by the Faddeev-LeVerrier recurrence.
-
-    Runs over Python ints; the division by k at each step is exact and is
-    checked.  Cubic work per step, fine for the orders used here.
-    """
-    a = _as_int_rows(m)
-    n = len(a)
-    coeffs = [1]
-    mk = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        c_prev = coeffs[-1]
-        b = [row[:] for row in mk]
-        for i in range(n):
-            b[i][i] += c_prev
-        bt = list(zip(*b))
-        mk = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-        tr = sum(mk[i][i] for i in range(n))
-        q, r = divmod(-tr, k)
-        if r:
-            raise AssertionError("inexact trace division in Faddeev-LeVerrier")
-        coeffs.append(q)
-    return IntPolynomial(tuple(coeffs))
-
-
-class _Int64OverflowRisk(Exception):
-    pass
-
-
-_I64_LIMIT = 2**63 - 1
+        except (TypeError, ValueError, OverflowError):
+            ix = None
+        if ix is None or ix != x:
+            raise ValueError(f"matrix entry {x!r} is not an integer")
+        flat.append(ix)
+    if all(_I64_MIN <= x <= _I64_MAX for x in flat):
+        return np.array(flat, dtype=np.int64).reshape(a.shape)
+    out = np.empty(len(flat), dtype=object)
+    out[:] = flat
+    return out.reshape(a.shape)
 
 
 def _abs_max(x: np.ndarray) -> int:
@@ -139,52 +135,138 @@ def _abs_max(x: np.ndarray) -> int:
     return max(int(x.max()), -int(x.min()))
 
 
-def _char_poly_batch_int64(a: np.ndarray) -> np.ndarray:
-    """Faddeev-LeVerrier over a stack of matrices in int64.
+def _coefficient_bound(a: np.ndarray) -> int:
+    """B >= |every char_poly coefficient| of every matrix in the stack.
 
-    Exact as long as every intermediate stays inside int64; a bound check
-    before each step raises _Int64OverflowRisk otherwise.  With |a| <= amax
-    and |b| <= bmax, each entry of a @ b is at most n*amax*bmax and the
-    trace at most n*n*amax*bmax, so the step runs only when the latter
-    fits in int64.
+    Coefficient k is a signed sum of k x k principal minors.  By Hadamard a
+    minor is at most the product of its rows' norms, each at most the full
+    row norm r_i, so the sum of all of them is at most prod_i (1 + r_i).
+    Computed exactly with ceil(r_i) in Python ints.
+    """
+    n = a.shape[-1]
+    if a.dtype != object and n * _abs_max(a) ** 2 >= 2**62:
+        a = a.astype(object)
+    sums = (a * a).sum(axis=-1).tolist()
+    # 1 + ceil(sqrt(s)) = isqrt(s - 1) + 2 for s >= 1.
+    return max(math.prod(math.isqrt(s - 1) + 2 if s else 1 for s in row) for row in sums)
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for p < 3.2e9 (bases 2, 3, 5, 7)."""
+    if p < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in (2, 3, 5, 7):
+        x = pow(q, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_for(n: int, bound: int) -> list[int]:
+    """Descending primes n < p with n * p^2 <= 2^53 whose product exceeds
+    2 * bound, enough to recover symmetric residues in [-bound, bound]."""
+    p = math.isqrt(_FLOAT_EXACT // n)
+    primes, prod = [], 1
+    while prod <= 2 * bound:
+        if p <= n:
+            raise ValueError(f"matrix order {n} is too large for the modular route")
+        if _is_prime(p):
+            primes.append(p)
+            prod *= p
+        p -= 1
+    return primes
+
+
+def _char_poly_residues(a: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Faddeev-LeVerrier on a stack mod each prime: (len(primes), count, n+1)
+    int64 residues of the coefficients.
+
+    M_0 = 0, c_0 = 1; M_k = A (M_{k-1} + c_{k-1} I), c_k = -tr(M_k) / k.
+    All primes run at once as one stacked float64 matmul per step.
     """
     count, n, _ = a.shape
-    amax = _abs_max(a)
-    eye = np.eye(n, dtype=np.int64)
-    coeffs = np.zeros((count, n + 1), dtype=np.int64)
-    coeffs[:, 0] = 1
-    mk = np.zeros_like(a)
+    pi = np.array(primes, dtype=np.int64)
+    pf = pi.astype(np.float64)[:, None, None, None]
+    pinv = 1.0 / pf
+    pdiag = pf[..., 0]
+    inv_k = np.array([[pow(k, -1, p) for k in range(1, n + 1)] for p in primes], dtype=np.int64)
+
+    def reduce(x: np.ndarray) -> np.ndarray:
+        # floor(x/p) from the reciprocal is off by at most one either way,
+        # so one correction step lands every entry in [0, p).
+        q = x * pinv
+        np.floor(q, out=q)
+        q *= pf
+        x -= q
+        np.add(x, pf, out=x, where=x < 0)
+        np.subtract(x, pf, out=x, where=x >= pf)
+        return x
+
+    am = np.stack([(a % p).astype(np.float64) for p in primes])
+    diag = np.arange(n)
+    coeffs = np.zeros((len(primes), count, n + 1), dtype=np.int64)
+    coeffs[..., 0] = 1
+    mk = np.zeros_like(am)
     for k in range(1, n + 1):
-        c_prev = coeffs[:, k - 1]
-        if _abs_max(mk) + _abs_max(c_prev) > _I64_LIMIT:
-            raise _Int64OverflowRisk
-        b = mk + c_prev[:, None, None] * eye
-        if amax and _abs_max(b) > _I64_LIMIT // (n * n * amax):
-            raise _Int64OverflowRisk
-        mk = a @ b
-        tr = np.trace(mk, axis1=1, axis2=2)
-        q, r = np.divmod(-tr, k)
-        if r.any():
-            raise _Int64OverflowRisk
-        coeffs[:, k] = q
+        d = mk[..., diag, diag] + coeffs[..., k - 1, None]
+        mk[..., diag, diag] = np.where(d >= pdiag, d - pdiag, d)
+        mk = reduce(am @ mk)
+        tr = np.trace(mk, axis1=-2, axis2=-1).astype(np.int64)
+        coeffs[..., k] = (-tr % pi[:, None]) * inv_k[:, k - 1, None] % pi[:, None]
     return coeffs
 
 
-def char_poly_batch(matrices: np.ndarray | Sequence) -> list[IntPolynomial]:
-    """Characteristic polynomials of a stack of small integer matrices.
+def _char_polys(a: np.ndarray) -> list[IntPolynomial]:
+    """Exact characteristic polynomials of an integer stack (count, n, n):
+    modular Faddeev-LeVerrier, then CRT into symmetric residues."""
+    count, n, _ = a.shape
+    if not count or not n:
+        return [IntPolynomial((1,))] * count
+    primes = _primes_for(n, _coefficient_bound(a))
+    units = max(1, _WORK_BYTES // (_LIVE_ARRAYS * 8 * n * n))
+    chunk = min(count, units)
+    group = max(1, units // chunk)
+    residues = np.empty((len(primes), count, n + 1), dtype=np.int64)
+    for s in range(0, count, chunk):
+        for g in range(0, len(primes), group):
+            residues[g : g + group, s : s + chunk] = _char_poly_residues(
+                a[s : s + chunk], primes[g : g + group]
+            )
+    modulus = math.prod(primes)
+    acc = 0
+    for p, r in zip(primes, residues):
+        rest = modulus // p
+        acc = acc + r.astype(object) * (rest * pow(rest, -1, p))
+    acc %= modulus
+    acc = np.where(acc > modulus // 2, acc - modulus, acc)
+    return [IntPolynomial(tuple(row)) for row in acc.tolist()]
 
-    Uses a vectorized int64 fast path with an overflow guard and falls back
-    to the exact big-integer routine when the guard trips; results are
-    exact either way.
+
+def char_poly(m) -> IntPolynomial:
+    """Exact characteristic polynomial det(lambda*I - M) of an integer matrix.
+
+    Faddeev-LeVerrier modulo enough word-size primes to cover a Hadamard
+    bound on the coefficients, recombined by CRT; exact at any entry size.
     """
-    a = np.asarray(matrices)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    try:
-        coeffs = _char_poly_batch_int64(a.astype(np.int64))
-        return [IntPolynomial(tuple(int(c) for c in row)) for row in coeffs]
-    except _Int64OverflowRisk:
-        return [char_poly(m) for m in a]
+    return _char_polys(_int_stack(m, 2)[None])[0]
+
+
+def char_poly_batch(matrices: np.ndarray | Sequence) -> list[IntPolynomial]:
+    """Exact characteristic polynomials of a stack of integer matrices,
+    by the same modular route as char_poly with the stack batched."""
+    return _char_polys(_int_stack(matrices, 3))
 
 
 # --------------------------------------------------------------------------
@@ -272,48 +354,18 @@ def lexicographic_distance_formula(g1: SignedGraph, g2: SignedGraph) -> np.ndarr
 # --------------------------------------------------------------------------
 # numeric spectra
 
-def jacobi_eigenvalues(m, rel_tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def _eigenvalues(m) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by LAPACK (numpy eigvalsh).
 
-    Sweeps zero the off-diagonal entries pairwise until the off-diagonal
-    Frobenius norm falls below rel_tol times the matrix norm.  Returns the
-    eigenvalues sorted in descending order.
+    eigvalsh reads one triangle only, so symmetry is checked here first.
     """
-    a = np.asarray(m, dtype=np.float64).copy()
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     norm = float(np.linalg.norm(a))
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(norm, 1.0)):
         raise ValueError("matrix is not symmetric")
-    n = a.shape[0]
-    if n == 1 or norm == 0.0:
-        return np.sort(np.diag(a))[::-1]
-    for _ in range(max_sweeps):
-        # Off-diagonal Frobenius norm summed directly; the subtraction form
-        # sum(a^2) - sum(diag^2) cancels catastrophically near convergence.
-        hollow = a.copy()
-        np.fill_diagonal(hollow, 0.0)
-        off = float(np.linalg.norm(hollow))
-        if off <= rel_tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-20 * norm:
-                    continue
-                phi = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
-                c, s = math.cos(phi), math.sin(phi)
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi iteration did not converge")
-    return np.sort(np.diag(a))[::-1]
+    return np.linalg.eigvalsh(a)
 
 
 def _format_value(v: float) -> str:
@@ -360,7 +412,7 @@ def cluster_eigenvalues(values: Iterable[float], tol: float = 1e-6) -> Spectrum:
 def eig_symmetric(m, tol: float = 1e-6) -> Spectrum:
     """Numeric spectrum of a symmetric matrix as clustered
     (eigenvalue, multiplicity) pairs."""
-    return cluster_eigenvalues(jacobi_eigenvalues(m), tol)
+    return cluster_eigenvalues(_eigenvalues(m), tol)
 
 
 def lex_k2_spectrum(g1: SignedGraph, k2_sign: int, tol: float = 1e-6) -> Spectrum:
@@ -373,7 +425,7 @@ def lex_k2_spectrum(g1: SignedGraph, k2_sign: int, tol: float = 1e-6) -> Spectru
     if k2_sign not in (1, -1):
         raise ValueError(f"K2 sign must be +1 or -1, got {k2_sign!r}")
     d1 = compatible_distance_matrix(g1)
-    lams = jacobi_eigenvalues(d1)
+    lams = _eigenvalues(d1)
     shifted = [2.0 * lam + k2_sign for lam in lams]
     shifted.extend([-float(k2_sign)] * g1.n)
     return cluster_eigenvalues(shifted, tol)

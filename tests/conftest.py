@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own algorithms: unsigned
 distances and shortest-path enumeration come from networkx, characteristic
-polynomials from a naive cofactor expansion over coefficient lists, and
+polynomials from a naive cofactor expansion over coefficient lists or from
+Faddeev-LeVerrier over Python ints (the library works modulo primes), and
 witness validation re-derives every claimed property from scratch.
 """
 
@@ -86,6 +87,25 @@ def naive_charpoly(matrix) -> list[int]:
     coeffs = det(entries)
     coeffs = coeffs + [0] * (n + 1 - len(coeffs))
     return list(reversed(coeffs))
+
+
+def bigint_charpoly(matrix) -> tuple[int, ...]:
+    """det(lambda*I - M) by the Faddeev-LeVerrier recurrence over Python
+    ints, descending coefficients.  O(n^4); every division by k is exact."""
+    a = [[int(x) for x in row] for row in matrix]
+    n = len(a)
+    coeffs = [1]
+    mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        b = [row[:] for row in mk]
+        for i in range(n):
+            b[i][i] += coeffs[-1]
+        bt = list(zip(*b))
+        mk = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+        q, r = divmod(-sum(mk[i][i] for i in range(n)), k)
+        assert r == 0, "inexact trace division in Faddeev-LeVerrier"
+        coeffs.append(q)
+    return tuple(coeffs)
 
 
 def check_witness(g: SignedGraph, w) -> None:

@@ -96,8 +96,24 @@ def test_census_classes_closed_under_switching(petersen_table):
             assert sg.char_poly(sg.distance_matrix(switched)).coeffs == c.char_poly.coeffs
 
 
-def test_census_workers_agree(petersen_table):
-    assert sg.enumerate_petersen_signings(workers=2) == petersen_table
+def test_census_quotient_matches_exhaustive_polynomials(petersen_table):
+    # Every one of the 2^15 codes through char_poly_batch, grouped by
+    # polynomial, must give the quotient census's sizes and representatives.
+    from sgdist.catalog import _distance_matrices_for_codes
+
+    codes = np.arange(1 << 15, dtype=np.int64)
+    polys = sg.char_poly_batch(_distance_matrices_for_codes(codes))
+    groups = {}
+    for code, poly in zip(codes.tolist(), polys):
+        signs = tuple(1 - 2 * ((code >> b) & 1) for b in range(15))
+        key = (signs.count(-1), signs)
+        size, best = groups.get(poly.coeffs, (0, key))
+        groups[poly.coeffs] = (size + 1, min(best, key))
+    assert len(groups) == 6
+    for c in petersen_table.classes:
+        size, (_, signs) = groups[c.char_poly.coeffs]
+        assert c.size == size
+        assert c.representative == sg.petersen_signing(signs)
 
 
 def test_census_fast_path_matches_bfs_route():

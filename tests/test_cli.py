@@ -201,16 +201,6 @@ def test_outputs_deterministic(fixtures, capsys, tmp_path):
         assert invoke(capsys, *argv) == invoke(capsys, *argv), argv
 
 
-def test_petersen_table_honors_sg_threads(capsys, monkeypatch):
-    monkeypatch.setenv("SG_THREADS", "2")
-    code, out, _ = invoke(capsys, "petersen-table")
-    assert code == 0
-    assert json.loads(out)["total_signings"] == 32768
-    monkeypatch.setenv("SG_THREADS", "nope")
-    code, _, err = invoke(capsys, "petersen-table")
-    assert code == 1 and "SG_THREADS" in err
-
-
 def test_petersen_table_cli(capsys):
     code, out, _ = invoke(capsys, "petersen-table")
     assert code == 0

@@ -95,6 +95,16 @@ def test_oracle_size_bound():
         sg.brute_force_summary(big, 0, 1)
 
 
+def test_oracle_rejects_disconnected():
+    # Path 0-1-2 plus the edge 3-4: u, v in one component, then in two.
+    g = sg.SignedGraph.from_edges(5, [(0, 1, 1), (1, 2, -1), (3, 4, 1)])
+    msg = re.escape("graph is disconnected; signed distances are undefined")
+    with pytest.raises(ValueError, match=msg):
+        sg.brute_force_summary(g, 0, 2)
+    with pytest.raises(ValueError, match=msg):
+        sg.brute_force_summary(g, 0, 4)
+
+
 def test_signed_bfs_agrees_with_oracle_on_random_graphs():
     rng = random.Random(31)
     for _ in range(60):

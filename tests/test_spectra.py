@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sgdist as sg
-from sgdist.catalog import _distance_matrices_for_codes
-from sgdist.spectra import _char_poly_batch_int64
-from conftest import naive_charpoly, random_balanced_connected, random_connected_signed
+from sgdist import spectra
+from conftest import bigint_charpoly, naive_charpoly, random_balanced_connected, random_connected_signed
 
 C4_ONE_NEG = sg.cycle_graph(4, [-1, 1, 1, 1])
 K2P = sg.complete_graph(2, 1)
@@ -117,13 +116,14 @@ def test_char_poly_batch_matches_scalar_route():
     mats = np.stack([rand_int_matrix(rng, 6) for _ in range(40)])
     batch = sg.char_poly_batch(mats)
     for m, poly in zip(mats, batch):
-        assert poly.coeffs == sg.char_poly(m).coeffs
+        assert poly.coeffs == sg.char_poly(m).coeffs == bigint_charpoly(m)
 
 
 def test_char_poly_batch_overflow_falls_back():
+    # Products of these entries overflow int64; the modular route needs no fallback.
     m = np.diag([2**31] * 4).astype(np.int64)
     batch = sg.char_poly_batch(m[None, :, :])
-    assert batch[0].coeffs == sg.char_poly(m).coeffs
+    assert batch[0].coeffs == bigint_charpoly(m)
     assert batch[0].coeffs[-1] == 2**124
 
 
@@ -131,35 +131,91 @@ def test_char_poly_batch_trace_overflow_regression():
     # Every entry of a @ b fits in int64 here but their 2-term trace wraps.
     m = np.array([[-1719420889, -1788038681], [1766298163, -1771283206]], dtype=np.int64)
     batch = sg.char_poly_batch(m[None, :, :])
-    assert batch[0].coeffs == sg.char_poly(m).coeffs
+    assert batch[0].coeffs == bigint_charpoly(m)
     assert batch[0].coeffs[-1] == 6203790782354533137
 
 
 def test_char_poly_batch_int64_min_entries():
     lo = np.iinfo(np.int64).min
     stack = np.array([[[lo, 0], [0, 0]], [[0, 1], [lo, 0]], [[lo, 1], [1, 1]]], dtype=np.int64)
-    want = [sg.char_poly(m).coeffs for m in stack]
+    want = [bigint_charpoly(m) for m in stack]
     assert [p.coeffs for p in sg.char_poly_batch(stack)] == want
     assert [sg.char_poly_batch(m[None, :, :])[0].coeffs for m in stack] == want
+    assert [sg.char_poly(m).coeffs for m in stack] == want
     assert want[0] == (1, 2**63, 0)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=12, max_value=34), st.data())
 def test_char_poly_batch_exact_near_int64_guard(n, bits, data):
-    # Entry sizes from 2^12 to 2^34 put the int64 route on both sides of its guard.
+    # Entry sizes from 2^12 to 2^34 put int64 products on both sides of overflow.
     entry = st.integers(min_value=-(2**bits), max_value=2**bits)
     mats = np.array(
         data.draw(st.lists(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n), min_size=1, max_size=3)),
         dtype=np.int64,
     )
-    assert [p.coeffs for p in sg.char_poly_batch(mats)] == [sg.char_poly(m).coeffs for m in mats]
+    assert [p.coeffs for p in sg.char_poly_batch(mats)] == [bigint_charpoly(m) for m in mats]
 
 
-def test_petersen_census_stays_on_int64_path():
-    codes = np.arange(2**15, dtype=np.int64)
-    coeffs = _char_poly_batch_int64(_distance_matrices_for_codes(codes))
-    assert coeffs.shape == (2**15, 11)
+def square_stacks(n, entry):
+    return st.lists(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.data())
+def test_char_poly_exact_with_huge_entries(n, data):
+    # Nested lists of Python ints past int64, and int64 stacks up to its limits.
+    big = data.draw(square_stacks(n, st.integers(min_value=-(2**70), max_value=2**70)))
+    want = [bigint_charpoly(m) for m in big]
+    assert [p.coeffs for p in sg.char_poly_batch(big)] == want
+    assert [sg.char_poly(m).coeffs for m in big] == want
+    i64 = np.iinfo(np.int64)
+    stack = np.array(data.draw(square_stacks(n, st.integers(min_value=i64.min, max_value=i64.max))), dtype=np.int64)
+    want = [bigint_charpoly(m) for m in stack]
+    assert [p.coeffs for p in sg.char_poly_batch(stack)] == want
+    assert [sg.char_poly(m).coeffs for m in stack] == want
+
+
+def test_char_poly_orders_zero_and_one():
+    assert sg.char_poly(np.zeros((0, 0), dtype=np.int64)).coeffs == (1,)
+    assert [p.coeffs for p in sg.char_poly_batch(np.zeros((2, 0, 0), dtype=np.int64))] == [(1,), (1,)]
+    assert sg.char_poly([[5]]).coeffs == (1, -5)
+    assert sg.char_poly([[-(2**70)]]).coeffs == (1, 2**70)
+    assert [p.coeffs for p in sg.char_poly_batch(np.array([[[3]], [[-4]]]))] == [(1, -3), (1, 4)]
+
+
+def test_char_poly_batch_empty_stack():
+    assert sg.char_poly_batch(np.zeros((0, 3, 3), dtype=np.int64)) == []
+
+
+def test_char_poly_c39_matches_oracle():
+    d = sg.distance_matrix(sg.cycle_graph(39, [1] * 38 + [-1]))
+    want = bigint_charpoly(d)
+    assert sg.char_poly(d).coeffs == want
+    assert sg.char_poly_batch(d[None])[0].coeffs == want
+
+
+def test_char_poly_batch_splits_under_small_budget(monkeypatch):
+    # A budget of three 6x6 float64 working sets forces both the stack and
+    # the prime set to be split.
+    rng = random.Random(43)
+    mats = np.stack([rand_int_matrix(rng, 6, -(2**40), 2**40) for _ in range(7)])
+    want = [bigint_charpoly(m) for m in mats]
+    calls = []
+    inner = spectra._char_poly_residues
+
+    def spy(a, primes):
+        calls.append((len(a), len(primes)))
+        return inner(a, primes)
+
+    monkeypatch.setattr(spectra, "_char_poly_residues", spy)
+    monkeypatch.setattr(spectra, "_WORK_BYTES", 3 * spectra._LIVE_ARRAYS * 8 * 36)
+    assert [p.coeffs for p in sg.char_poly_batch(mats)] == want
+    assert len(calls) > 1 and all(count * primes <= 3 for count, primes in calls)
+    assert max(count for count, _ in calls) == 3
+    calls.clear()
+    assert sg.char_poly(mats[0]).coeffs == want[0]
+    assert len(calls) > 1 and max(primes for _, primes in calls) == 3
 
 
 def test_polynomial_rendering():
@@ -293,7 +349,7 @@ def test_eig_matches_numpy_oracle():
         n = rng.randint(2, 12)
         m = rand_int_matrix(rng, n)
         m = m + m.T
-        ours = sg.jacobi_eigenvalues(m)
+        ours = np.array(sg.eig_symmetric(m).expand())
         ref = np.sort(np.linalg.eigvalsh(m.astype(float)))[::-1]
         assert np.allclose(ours, ref, atol=1e-9 * max(1.0, np.linalg.norm(m)))
 
