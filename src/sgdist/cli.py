@@ -8,6 +8,7 @@ detection).  Results go to stdout (or -o FILE), errors to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -251,6 +252,7 @@ def _cmd_conjecture(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sgdist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -309,23 +309,14 @@ def is_two_connected(g: SignedGraph) -> bool:
 def is_geodetic(g: SignedGraph) -> bool:
     """True iff every connected vertex pair has exactly one shortest path.
 
-    Shortest paths are counted by a BFS accumulator with counts capped at 2,
-    since only uniqueness matters.
+    By induction on the distance from s, every vertex reachable from s has
+    a unique shortest path from s exactly when none has two neighbours one
+    hop closer to s.
     """
     for s in range(g.n):
         dist = _bfs_dist(g, s)
-        order = sorted((d, v) for v, d in enumerate(dist) if d > 0)
-        count = [0] * g.n
-        count[s] = 1
-        for _, v in order:
-            c = 0
-            for u, _ in g.adjacency[v]:
-                if dist[u] == dist[v] - 1:
-                    c += count[u]
-                    if c >= 2:
-                        break
-            count[v] = min(c, 2)
-            if c >= 2:
+        for v, d in enumerate(dist):
+            if d > 0 and [dist[u] for u, _ in g.adjacency[v]].count(d - 1) > 1:
                 return False
     return True
 

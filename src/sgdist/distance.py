@@ -9,18 +9,21 @@ every pair, i.e. the two distance matrices coincide.
 
 All-pairs results (both matrices, the incompatible pairs, compatibility,
 the associated complete graph) come from `signed_distances`, one BFS run
-from every source at once over Python-int bitsets.  The per-source
-`signed_bfs` is kept for reconstructing witness paths.
+from every source at once over Python-int bitsets; witness paths and
+conjecture certificates are walked back through one row of it and checked
+against an unsigned BFS.  `signed_bfs` and `brute_force_summary` remain
+as reference routes for tests and demos.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignedGraph
+from .core import SignedGraph, _bfs_dist
 
 __all__ = [
     "PairDistanceSummary",
@@ -269,56 +272,46 @@ class IncompatibilityWitness:
         return len(self.path_pos) - 1
 
 
-def _reconstruct_path(g: SignedGraph, summaries, s: int, v: int, target: int) -> list[int]:
-    """One shortest s-v path of the given sign, walked back through the BFS DAG.
+def _opposite_paths(
+    g: SignedGraph, sd: SignedDistances, u: int, targets: list[int]
+) -> list[tuple[list[int], list[int]]]:
+    """A positive and a negative shortest u-v path for each v in targets.
 
-    At each step pick the smallest predecessor through which the remaining
-    sign is achievable; existence is guaranteed by the summaries.
+    Each path is walked back from v through row u of `sd`, at every step
+    taking the first neighbour one hop closer to u through which the
+    remaining sign is achievable.  Both paths are then certified against an
+    independent unsigned BFS from u: every step is an edge, the edge signs
+    multiply to the path's sign and the length equals the BFS hop count.
+    Raises RuntimeError naming the pair when `sd` does not support a path
+    or a path fails its certificate; no uncertified path is returned.
     """
-    path = [v]
-    need = target
-    cur = v
-    while cur != s:
-        d = summaries[cur].d
-        for u, sgn in g.adjacency[cur]:
-            su = summaries[u]
-            if su is None or su.d != d - 1:
-                continue
-            rem = need * sgn
-            if (rem > 0 and su.sigma_max == 1) or (rem < 0 and su.sigma_min == -1):
-                path.append(u)
-                cur = u
-                need = rem
-                break
-        else:
-            raise AssertionError("sign-annotated BFS is inconsistent")
-    path.reverse()
-    return path
-
-
-def _disjoint_opposite_paths(
-    g: SignedGraph, sd: SignedDistances, u: int, v: int
-) -> tuple[list[int], list[int], int, int]:
-    """Internally disjoint opposite-sign shortest u-v paths.
-
-    For a minimum-distance incompatible pair any positive and negative
-    shortest paths are already internally disjoint: a shared internal
-    vertex would split them into equal-length segments, one segment pair
-    of which is an incompatible pair at smaller distance.  If the
-    recovered paths do intersect we recurse on that closer pair.
-    """
-    summaries = signed_bfs(g, u)
-    p_pos = _reconstruct_path(g, summaries, u, v, 1)
-    p_neg = _reconstruct_path(g, summaries, u, v, -1)
-    if not (set(p_pos[1:-1]) & set(p_neg[1:-1])):
-        return p_pos, p_neg, u, v
-    # Defensive reroute: locate an equal-length opposite-sign segment pair
-    # between consecutive common vertices and recurse on its endpoints.
-    common = sorted(({u, v} | (set(p_pos) & set(p_neg))), key=lambda w: summaries[w].d)
-    for a, b in zip(common, common[1:]):
-        if sd.incompatible[a, b]:
-            return _disjoint_opposite_paths(g, sd, a, b)
-    raise AssertionError("intersecting opposite-sign paths with no closer incompatible pair")
+    dist, pos, neg = (a[u].tolist() for a in (sd.dist, sd.pos, sd.neg))
+    hops = _bfs_dist(g, u)
+    out = []
+    for v in targets:
+        paths = []
+        for target in (1, -1):
+            path, need, cur = [v], target, v
+            while cur != u:
+                for w, sgn in g.adjacency[cur]:
+                    rem = need * sgn
+                    if dist[w] == dist[cur] - 1 and (pos[w] if rem > 0 else neg[w]):
+                        path.append(w)
+                        cur, need = w, rem
+                        break
+                else:
+                    raise RuntimeError(f"pair ({u},{v}): no shortest path of sign {target:+d} in the distances")
+            path.reverse()
+            # A step that is not an edge contributes 0 and fails the sign test.
+            signs = [g.sign(a, b) if g.has_edge(a, b) else 0 for a, b in zip(path, path[1:])]
+            if math.prod(signs) != target or len(signs) != hops[v]:
+                raise RuntimeError(
+                    f"pair ({u},{v}): path {path} of sign {target:+d} fails its certificate "
+                    f"against BFS distance {hops[v]}"
+                )
+            paths.append(path)
+        out.append(tuple(paths))
+    return out
 
 
 def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:
@@ -326,20 +319,25 @@ def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:
 
     The union of the two returned paths is an even negative cycle of length
     2k whose diametrically opposite vertices are the returned pair, and no
-    incompatible pair exists at distance below k.
+    incompatible pair exists at distance below k.  The paths are internally
+    disjoint: a shared internal vertex w would split them into two segment
+    pairs of equal lengths, u-w and w-v, and since the whole paths differ in
+    sign one segment pair differs in sign too, an incompatible pair closer
+    than k.  The pair comes first in (distance, u, v) order, so none is.
     """
     sd = signed_distances(g)
     pairs = _sorted_pairs(sd)
     if not pairs:
         return None
     u, v = pairs[0]
-    p_pos, p_neg, wu, wv = _disjoint_opposite_paths(g, sd, u, v)
-    cycle = tuple(p_pos + p_neg[-2:0:-1])
+    [(p_pos, p_neg)] = _opposite_paths(g, sd, u, [v])
+    if set(p_pos[1:-1]) & set(p_neg[1:-1]):
+        raise AssertionError(f"opposite-sign shortest paths of least incompatible pair ({u},{v}) intersect")
     return IncompatibilityWitness(
-        pair=(wu, wv),
+        pair=(u, v),
         path_pos=tuple(p_pos),
         path_neg=tuple(p_neg),
-        cycle=cycle,
+        cycle=tuple(p_pos + p_neg[-2:0:-1]),
     )
 
 

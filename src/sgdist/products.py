@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .core import SignedGraph, has_odd_cycle, is_connected
-from .distance import brute_force_summary, incompatible_pairs, is_compatible
+from .distance import _opposite_paths, _sorted_pairs, is_compatible, signed_distances
 
 __all__ = [
     "pair_index",
@@ -230,7 +230,8 @@ def _random_connected_compatible(rng: random.Random, max_n: int, attempts: int =
 @dataclass(frozen=True)
 class ConjectureCandidate:
     """A compatible factor pair whose connected tensor product came out
-    incompatible, with the offending pairs re-verified by the oracle."""
+    incompatible, with every offending pair certified by a positive and a
+    negative shortest path checked against an unsigned BFS."""
 
     trial: int
     g1: SignedGraph
@@ -252,10 +253,10 @@ def conjecture_search(
     tensor product (smallest example: all-positive K2 with K4 carrying one
     negative edge, where same-fiber product paths ride length-2 walks of
     the second factor that its compatibility does not constrain).  Each
-    reported incompatible pair is re-verified with the brute-force path
-    oracle before being returned.  Deterministic for a fixed seed: trial t
-    uses its own RNG stream seeded by (seed, t), so results do not depend
-    on scheduling.
+    reported pair is certified by two opposite-sign shortest paths checked
+    against an unsigned BFS; a failed certificate raises RuntimeError
+    naming the pair.  Deterministic for a fixed seed: trial t uses its own
+    RNG stream seeded by (seed, t), so results do not depend on scheduling.
     """
     out = []
     for t in range(trials):
@@ -267,18 +268,14 @@ def conjecture_search(
         if not (has_odd_cycle(g1) or has_odd_cycle(g2)):
             continue
         prod = tensor(g1, g2)
-        bad = incompatible_pairs(prod)
+        sd = signed_distances(prod)
+        bad = _sorted_pairs(sd)
         if not bad:
             continue
-        if prod.n <= 60:
-            confirmed = tuple(
-                (u, v)
-                for u, v in bad
-                if not brute_force_summary(prod, u, v, max_n=prod.n).compatible
-            )
-        else:
-            confirmed = tuple(bad)
-        if confirmed:
-            out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=confirmed))
-    out.sort(key=lambda c: c.trial)
+        targets: dict[int, list[int]] = {}
+        for u, v in bad:
+            targets.setdefault(u, []).append(v)
+        for u, vs in targets.items():
+            _opposite_paths(prod, sd, u, vs)
+        out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(bad)))
     return out

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sgdist as sg
-from sgdist.cli import _matrix_payload, run
+from sgdist.cli import _build_parser, _matrix_payload, run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -213,3 +219,36 @@ def test_petersen_table_cli(capsys):
     for c in payload["classes"]:
         rep = sg.parse_edge_list(c["representative"])
         assert rep.n == 10 and rep.m == 15
+
+
+def _run_fresh(argv):
+    """cli.run as the only call of a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys; from sgdist.cli import run; sys.exit(run(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_run_sequence_matches_fresh_processes(fixtures, capsys, tmp_path):
+    # The parser is built once per process; calls that share it, usage and
+    # domain errors among them, behave as each does on its own.
+    calls = [
+        ["info", fixtures["pplus"]],
+        ["dist", "--which", "min"],
+        ["witness", fixtures["c4"]],
+        ["gen", "cycle", "4", "-+++", "-o", "{out}"],
+        ["nosuch", fixtures["c4"]],
+        ["spectrum", fixtures["c4"]],
+        ["compat", fixtures["c4"], "--format", "json"],
+        ["info", fixtures["c3"]],
+    ]
+    codes = set()
+    for i, argv in enumerate(calls):
+        ours = invoke(capsys, *[a.replace("{out}", str(tmp_path / f"seq{i}.sg")) for a in argv])
+        fresh = _run_fresh([a.replace("{out}", str(tmp_path / f"fresh{i}.sg")) for a in argv])
+        assert ours == fresh, argv
+        codes.add(ours[0])
+        if "{out}" in argv:
+            assert (tmp_path / f"seq{i}.sg").read_text() == (tmp_path / f"fresh{i}.sg").read_text() != ""
+    assert codes == {0, 1, 2}
+    assert _build_parser() is _build_parser()

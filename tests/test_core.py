@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -178,6 +179,45 @@ def test_predicates_c4():
         False,
         False,
     )
+
+
+def _nx_geodetic(g: sg.SignedGraph) -> bool:
+    """No connected pair has a second shortest path, counted by networkx."""
+    gx = to_networkx(g)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if nx.has_path(gx, u, v) and len(list(islice(nx.all_shortest_paths(gx, u, v), 2))) > 1:
+                return False
+    return True
+
+
+def _disjoint_union(g: sg.SignedGraph, h: sg.SignedGraph) -> sg.SignedGraph:
+    return sg.SignedGraph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n, s) for u, v, s in h.edges))
+
+
+def test_is_geodetic_matches_networkx_path_counts():
+    rng = random.Random(41)
+    c4, c5 = sg.cycle_graph(4, [1] * 4), sg.cycle_graph(5, [-1] * 5)
+    graphs = [
+        sg.SignedGraph(1, ()),
+        sg.SignedGraph(3, ()),
+        sg.petersen_graph(),
+        _disjoint_union(c5, sg.SignedGraph(1, ())),
+        _disjoint_union(c5, c4),
+        _disjoint_union(sg.petersen_graph(-1), sg.path_graph(3, [1, -1])),
+    ]
+    graphs += [sg.cycle_graph(n, [1] * n) for n in range(3, 11)]
+    for _ in range(20):
+        n = rng.randint(2, 12)
+        graphs.append(sg.SignedGraph(n, tuple((rng.randrange(v), v, rng.choice((1, -1))) for v in range(1, n))))
+    for _ in range(120):
+        graphs.append(sg.random_signed_gnp(rng.randint(1, 10), rng.uniform(0.1, 0.7), rng))
+    verdicts = set()
+    for g in graphs:
+        expected = _nx_geodetic(g)
+        assert sg.is_geodetic(g) == expected, g
+        verdicts.add((expected, sg.is_connected(g)))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_odd_cycle_matches_bipartiteness_oracle():

@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import sgdist as sg
-from conftest import random_balanced_connected, random_connected_signed, to_networkx
+from sgdist import products
+from sgdist.distance import _opposite_paths
+from conftest import nx_path_signs, random_balanced_connected, random_connected_signed, to_networkx
 
 import networkx as nx
 
@@ -288,6 +291,72 @@ def test_conjecture_candidates_are_genuine():
         prod = sg.tensor(cand.g1, cand.g2)
         for u, v in cand.product_pairs:
             assert not sg.brute_force_summary(prod, u, v, max_n=prod.n).compatible
+
+
+def test_conjecture_pairs_in_large_products_are_incompatible():
+    # Products of 72 and 81 vertices are certified like small ones; check
+    # the first and last reported pair of each against networkx enumeration.
+    found = sg.conjecture_search(300, max_n=9, seed=1)
+    large = [c for c in found if c.g1.n * c.g2.n in (72, 81)]
+    assert {c.g1.n * c.g2.n for c in large} == {72, 81}
+    for cand in large:
+        prod = sg.tensor(cand.g1, cand.g2)
+        for u, v in (cand.product_pairs[0], cand.product_pairs[-1]):
+            assert nx_path_signs(prod, u, v) == {1, -1}
+
+
+def test_opposite_paths_certify_every_reported_pair():
+    prod = sg.tensor(K2P, sg.complete_graph(4, 1).with_signs([1, 1, 1, 1, -1, 1]))
+    sd = sg.signed_distances(prod)
+    for u in range(prod.n):
+        vs = [v for v in range(prod.n) if sd.incompatible[u, v]]
+        for v, (p_pos, p_neg) in zip(vs, _opposite_paths(prod, sd, u, vs)):
+            for path, sign in ((p_pos, 1), (p_neg, -1)):
+                assert (path[0], path[-1], len(path) - 1) == (u, v, sd.dist[u, v])
+                assert math.prod(prod.sign(a, b) for a, b in zip(path, path[1:])) == sign
+
+
+def _corrupted(sd, **entries):
+    arrays = {"dist": sd.dist.copy(), "pos": sd.pos.copy(), "neg": sd.neg.copy()}
+    for name, cells in entries.items():
+        for (u, v), value in cells.items():
+            arrays[name][u, v] = arrays[name][v, u] = value
+    return sg.SignedDistances(**arrays)
+
+
+def test_opposite_paths_reject_corrupted_distances():
+    # Every shortest path of the all-positive C4 is positive.
+    c4 = sg.cycle_graph(4, [1] * 4)
+    sd4 = sg.signed_distances(c4)
+    # 0-1-2 and 0-3-2 have opposite signs, as do the detours 0-5-4-2 and 0-7-6-2.
+    detours = sg.SignedGraph.from_edges(8, [
+        (0, 1, -1), (1, 2, 1), (2, 3, 1), (0, 3, 1),
+        (2, 4, 1), (4, 5, 1), (0, 5, 1), (2, 6, 1), (6, 7, 1), (0, 7, -1),
+    ])
+    cases = [
+        # a negative bit with no negative predecessor: the walk stalls
+        (c4, _corrupted(sd4, neg={(0, 2): True})),
+        # negative bits all the way down: the walked path has the wrong sign
+        (c4, _corrupted(sd4, neg={(0, 2): True, (0, 1): True, (0, 0): True})),
+        # d(0,2) = 3: both signs are walked along the detours, longer than BFS
+        (detours, _corrupted(sg.signed_distances(detours), dist={(0, 2): 3})),
+    ]
+    for g, sd in cases:
+        with pytest.raises(RuntimeError, match=r"pair \(0,2\)"):
+            _opposite_paths(g, sd, 0, [2])
+
+
+def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
+    # A negative bit on a pair whose shortest paths are all positive is
+    # reported as incompatible by the pass but cannot be certified.
+    def corrupt(g):
+        sd = sg.signed_distances(g)
+        u, v = np.argwhere(sd.pos & ~sd.neg & (sd.dist > 0))[0].tolist()
+        return _corrupted(sd, neg={(u, v): True})
+
+    monkeypatch.setattr(products, "signed_distances", corrupt)
+    with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\)"):
+        sg.conjecture_search(40, max_n=6, seed=123)
 
 
 def test_tensor_does_not_preserve_compatibility():

@@ -344,14 +344,20 @@ def test_eig_rejects_non_symmetric():
 
 
 def test_eig_matches_numpy_oracle():
+    # Independent route: the general (non-symmetric) LAPACK eigensolver,
+    # plus the trace and the Frobenius norm as exact integer moments.
     rng = random.Random(19)
     for _ in range(20):
         n = rng.randint(2, 12)
         m = rand_int_matrix(rng, n)
         m = m + m.T
-        ours = np.array(sg.eig_symmetric(m).expand())
-        ref = np.sort(np.linalg.eigvalsh(m.astype(float)))[::-1]
-        assert np.allclose(ours, ref, atol=1e-9 * max(1.0, np.linalg.norm(m)))
+        spec = sg.eig_symmetric(m)
+        atol = 1e-9 * max(1.0, np.linalg.norm(m))
+        ref = np.linalg.eigvals(m.astype(float))
+        assert np.allclose(ref.imag, 0, atol=atol)
+        assert np.allclose(spec.expand(), np.sort(ref.real)[::-1], atol=atol)
+        assert abs(sum(v * k for v, k in spec.entries) - np.trace(m)) <= n * atol
+        assert abs(sum(v * v * k for v, k in spec.entries) - (m * m).sum()) <= n * atol * max(1.0, np.linalg.norm(m))
 
 
 def test_eig_residuals_and_trace():
