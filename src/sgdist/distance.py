@@ -279,9 +279,9 @@ def _opposite_paths(
 
     Each path is walked back from v through row u of `sd`, at every step
     taking the first neighbour one hop closer to u through which the
-    remaining sign is achievable.  Both paths are then certified against an
-    independent unsigned BFS from u: every step is an edge, the edge signs
-    multiply to the path's sign and the length equals the BFS hop count.
+    remaining sign is achievable, so every step is an edge.  Both paths are
+    then certified against an independent unsigned BFS from u: the edge
+    signs multiply to the path's sign and the length equals the BFS hop count.
     Raises RuntimeError naming the pair when `sd` does not support a path
     or a path fails its certificate; no uncertified path is returned.
     """
@@ -302,9 +302,8 @@ def _opposite_paths(
                 else:
                     raise RuntimeError(f"pair ({u},{v}): no shortest path of sign {target:+d} in the distances")
             path.reverse()
-            # A step that is not an edge contributes 0 and fails the sign test.
-            signs = [g.sign(a, b) if g.has_edge(a, b) else 0 for a, b in zip(path, path[1:])]
-            if math.prod(signs) != target or len(signs) != hops[v]:
+            sign = math.prod(g.sign(a, b) for a, b in zip(path, path[1:]))
+            if sign != target or len(path) - 1 != hops[v]:
                 raise RuntimeError(
                     f"pair ({u},{v}): path {path} of sign {target:+d} fails its certificate "
                     f"against BFS distance {hops[v]}"

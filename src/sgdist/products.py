@@ -275,6 +275,7 @@ def conjecture_search(
         targets: dict[int, list[int]] = {}
         for u, v in bad:
             targets.setdefault(u, []).append(v)
+        # Called for the certificate alone: it raises on a pair it cannot certify.
         for u, vs in targets.items():
             _opposite_paths(prod, sd, u, vs)
         out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(bad)))
