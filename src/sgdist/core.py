@@ -3,6 +3,11 @@
 A signed graph is a simple undirected graph whose edges carry a sign in
 {+1, -1}.  Vertices are dense 0-based integers.  Signs are plain Python
 ints; every boundary that accepts a sign validates it.
+
+Every hop-distance or 2-colouring question in the package goes through one
+of two breadth-first searches here: `_bfs_dist`, the unsigned hop distances
+from one source, and `_potential`, the +1/-1 vertex labelling that exists
+iff the graph is balanced (or, with every edge read as negative, bipartite).
 """
 
 from __future__ import annotations
@@ -203,11 +208,17 @@ def switch(g: SignedGraph, zeta: Sequence[int]) -> SignedGraph:
     return SignedGraph(g.n, tuple((u, v, z[u] * s * z[v]) for u, v, s in g.edges))
 
 
-def balance_potential(g: SignedGraph) -> list[int] | None:
-    """Vertex signing zeta with zeta[u]*sign(uv)*zeta[v] = +1 on every edge.
+def _check_vertex(g: SignedGraph, v: int) -> None:
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} out of range for n={g.n}")
 
-    Exists iff g is balanced (every cycle positive).  Assigned by BFS per
-    component; returns None when some edge contradicts the assignment.
+
+def _potential(g: SignedGraph, signed: bool) -> list[int] | None:
+    """Vertex labelling zeta with zeta[u]*s*zeta[v] = +1 on every edge uv,
+    where s is the edge sign if `signed` and -1 otherwise.
+
+    Assigned by BFS per component; returns None on the first edge that
+    contradicts the assignment.
     """
     zeta = [0] * g.n
     for root in range(g.n):
@@ -218,12 +229,22 @@ def balance_potential(g: SignedGraph) -> list[int] | None:
         while queue:
             u = queue.popleft()
             for v, s in g.adjacency[u]:
+                if not signed:
+                    s = -1
                 if zeta[v] == 0:
                     zeta[v] = zeta[u] * s
                     queue.append(v)
                 elif zeta[u] * s * zeta[v] != 1:
                     return None
     return zeta
+
+
+def balance_potential(g: SignedGraph) -> list[int] | None:
+    """Vertex signing zeta with zeta[u]*sign(uv)*zeta[v] = +1 on every edge.
+
+    Exists iff g is balanced (every cycle positive); None otherwise.
+    """
+    return _potential(g, signed=True)
 
 
 def is_balanced(g: SignedGraph) -> bool:
@@ -248,6 +269,7 @@ def cycle_sign(g: SignedGraph, cycle: Sequence[int]) -> int:
 
 
 def _bfs_dist(g: SignedGraph, s: int) -> list[int]:
+    """Hop distances from s; -1 marks vertices s cannot reach."""
     dist = [-1] * g.n
     dist[s] = 0
     queue = deque([s])
@@ -322,22 +344,9 @@ def is_geodetic(g: SignedGraph) -> bool:
 
 
 def has_odd_cycle(g: SignedGraph) -> bool:
-    """True iff the underlying graph is non-bipartite."""
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, _ in g.adjacency[u]:
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return True
-    return False
+    """True iff the underlying graph is non-bipartite, i.e. its all-negative
+    signing is unbalanced."""
+    return _potential(g, signed=False) is None
 
 
 @dataclass(frozen=True)
@@ -360,8 +369,7 @@ def structural_predicates(g: SignedGraph) -> StructuralSummary:
 
 def net_degree(g: SignedGraph, v: int) -> int:
     """Positive-incident-edge count minus negative-incident-edge count."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
+    _check_vertex(g, v)
     return sum(s for _, s in g.adjacency[v])
 
 

@@ -12,18 +12,19 @@ the associated complete graph) come from `signed_distances`, one BFS run
 from every source at once over Python-int bitsets; witness paths and
 conjecture certificates are walked back through one row of it and checked
 against an unsigned BFS.  `signed_bfs` and `brute_force_summary` remain
-as reference routes for tests and demos.
+as reference routes for tests and demos; both take their hop distances
+from `core._bfs_dist`, so this module runs no BFS loop of its own besides
+the all-sources pass.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignedGraph, _bfs_dist
+from .core import SignedGraph, _bfs_dist, _check_vertex
 
 __all__ = [
     "PairDistanceSummary",
@@ -64,36 +65,25 @@ class PairDistanceSummary:
 def signed_bfs(g: SignedGraph, s: int) -> list[PairDistanceSummary | None]:
     """Exact distance and achievable shortest-path signs from s to every vertex.
 
-    Works level-synchronously: distances for a BFS level are fixed first,
-    then each level-(l+1) vertex unions, over all its level-l neighbors, the
-    signs obtained by extending their (already final) sign sets.  Entries
-    for vertices unreachable from s are None.
+    Hop distances come from one unsigned BFS; then, in order of distance,
+    each vertex unions the signs obtained by extending the (already final)
+    sign sets of its neighbours one hop closer to s.  Entries for vertices
+    unreachable from s are None.
     """
-    if not (0 <= s < g.n):
-        raise ValueError(f"vertex {s} out of range for n={g.n}")
-    dist = [-1] * g.n
+    _check_vertex(g, s)
+    dist = _bfs_dist(g, s)
     pos = [False] * g.n  # a positive shortest path from s exists
     neg = [False] * g.n  # a negative shortest path from s exists
-    dist[s] = 0
     pos[s] = True
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v, _ in g.adjacency[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        for v in nxt:
-            for u, sgn in g.adjacency[v]:
-                if dist[u] == dist[v] - 1:
-                    if sgn > 0:
-                        pos[v] = pos[v] or pos[u]
-                        neg[v] = neg[v] or neg[u]
-                    else:
-                        pos[v] = pos[v] or neg[u]
-                        neg[v] = neg[v] or pos[u]
-        frontier = nxt
+    for v in sorted((v for v in range(g.n) if dist[v] > 0), key=dist.__getitem__):
+        for u, sgn in g.adjacency[v]:
+            if dist[u] == dist[v] - 1:
+                if sgn > 0:
+                    pos[v] = pos[v] or pos[u]
+                    neg[v] = neg[v] or neg[u]
+                else:
+                    pos[v] = pos[v] or neg[u]
+                    neg[v] = neg[v] or pos[u]
     out: list[PairDistanceSummary | None] = []
     for v in range(g.n):
         if dist[v] < 0:
@@ -368,22 +358,18 @@ def associated_complete(g: SignedGraph, which: str = "max") -> SignedGraph:
 def brute_force_summary(g: SignedGraph, u: int, v: int, max_n: int = 12) -> PairDistanceSummary:
     """Test oracle: enumerate every shortest u-v path and summarize its signs.
 
-    Walks the BFS DAG from u by depth-limited DFS along distance-decreasing
-    edges, multiplying signs path by path.  Kept independent of signed_bfs;
-    bounded to small graphs because enumeration is exhaustive.  Raises
-    ValueError when the BFS from u leaves a vertex unreached.
+    Takes hop distances from the unsigned BFS `core._bfs_dist` and walks
+    back from v by depth-first search along distance-decreasing edges,
+    multiplying signs path by path; no sign set is merged, so it stays
+    independent of signed_bfs.  Bounded to small graphs because enumeration
+    is exhaustive.  Raises ValueError when the BFS from u leaves a vertex
+    unreached.
     """
     if g.n > max_n:
         raise ValueError(f"oracle bound exceeded: n={g.n} > {max_n}")
-    dist = [-1] * g.n
-    dist[u] = 0
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y, _ in g.adjacency[x]:
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
+    _check_vertex(g, u)
+    _check_vertex(g, v)
+    dist = _bfs_dist(g, u)
     if -1 in dist:
         raise ValueError(_DISCONNECTED)
     signs: set[int] = set()

@@ -5,6 +5,11 @@ Kronecker-block distance formulas line up with the vertex order.  Also
 here: odd/even walk distances, the tensor distance formula, executable
 checks of the product compatibility theorems, and a randomized search for
 tensor-product counterexamples.
+
+Odd/even walk distances are hop distances in the bipartite double cover
+g x K2: there (x, p) sits at 2x + p and every step flips the parity p, so
+one unsigned BFS from (u, 0) gives the shortest even walk to v at (v, 0)
+and the shortest odd walk at (v, 1).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import SignedGraph, has_odd_cycle, is_connected
+from .core import SignedGraph, _bfs_dist, _check_vertex, has_odd_cycle, is_connected
 from .distance import _opposite_paths, _sorted_pairs, is_compatible, signed_distances
 
 __all__ = [
@@ -86,10 +91,16 @@ def tensor(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
 
 
 def tensor_is_connected(g1: SignedGraph, g2: SignedGraph) -> bool:
-    """Connectivity criterion for tensor products of connected factors:
-    connected iff at least one factor has an odd cycle."""
+    """Connectivity criterion for tensor products of connected factors.
+
+    A factor without edges (K1) leaves the product edgeless, so it is
+    connected only when it is the single vertex K1 x K1.  Otherwise the
+    product is connected iff at least one factor has an odd cycle
+    (Weichsel 1962)."""
     if not is_connected(g1) or not is_connected(g2):
         raise ValueError("tensor connectivity criterion needs connected factors")
+    if not g1.m or not g2.m:
+        return g1.n * g2.n == 1
     return has_odd_cycle(g1) or has_odd_cycle(g2)
 
 
@@ -106,24 +117,14 @@ class OddEvenDistance:
 
 
 def odd_even_distance(g: SignedGraph, u: int, v: int) -> OddEvenDistance:
-    """Shortest odd/even walk lengths via BFS on (vertex, parity) states."""
+    """Shortest odd/even walk lengths: one BFS on the double cover g x K2."""
+    _check_vertex(g, u)
+    _check_vertex(g, v)
     if not is_connected(g):
         raise ValueError("odd/even distances need a connected graph")
-    dist = [[-1, -1] for _ in range(g.n)]
-    dist[u][0] = 0
-    frontier = [(u, 0)]
-    while frontier:
-        nxt = []
-        for x, p in frontier:
-            for y, _ in g.adjacency[x]:
-                q = 1 - p
-                if dist[y][q] < 0:
-                    dist[y][q] = dist[x][p] + 1
-                    nxt.append((y, q))
-        frontier = nxt
-    ed = dist[v][0] if dist[v][0] >= 0 else math.inf
-    od = dist[v][1] if dist[v][1] >= 0 else math.inf
-    return OddEvenDistance(od=od, ed=ed)
+    dist = _bfs_dist(tensor(g, SignedGraph(2, ((0, 1, 1),))), 2 * u)
+    ed, od = dist[2 * v], dist[2 * v + 1]
+    return OddEvenDistance(od=od if od >= 0 else math.inf, ed=ed if ed >= 0 else math.inf)
 
 
 def tensor_distance(

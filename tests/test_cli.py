@@ -23,6 +23,7 @@ def fixtures(tmp_path):
         "k2": sg.complete_graph(2, 1),
         "k2n": sg.complete_graph(2, -1),
         "c3": sg.cycle_graph(3, [1, 1, 1]),
+        "k1": sg.SignedGraph(1, ()),
     }.items():
         path = tmp_path / f"{name}.sg"
         path.write_text(sg.serialize_edge_list(g), encoding="utf-8")
@@ -104,6 +105,14 @@ def test_product_tensor_disconnected_error(fixtures, capsys):
     code, _, err = invoke(capsys, "product", "--kind", "tensor", fixtures["k2"], fixtures["k2"])
     assert code == 1
     assert "tensor product disconnected: neither factor has an odd cycle" in err
+
+
+def test_product_tensor_edgeless_factor_error(fixtures, capsys):
+    # K1 x K3 is three isolated vertices even though K3 has an odd cycle.
+    code, out, err = invoke(capsys, "product", "--kind", "tensor", fixtures["k1"], fixtures["c3"])
+    assert code == 1
+    assert out == ""
+    assert "tensor product disconnected" in err
 
 
 def test_product_writes_edge_list(fixtures, capsys, tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import sgdist as sg
-from conftest import random_connected_signed, to_networkx
+from sgdist.core import _bfs_dist
+from conftest import random_balanced_connected, random_connected_signed, to_networkx
 
 import networkx as nx
 
@@ -227,6 +228,73 @@ def test_odd_cycle_matches_bipartiteness_oracle():
         assert sg.has_odd_cycle(g) == (not nx.is_bipartite(to_networkx(g)))
 
 
+def test_bfs_dist_matches_networkx_from_every_source():
+    rng = random.Random(43)
+    graphs = [sg.SignedGraph(1, ())]
+    for _ in range(40):
+        g = sg.random_signed_gnp(rng.randint(1, 12), rng.uniform(0.05, 0.7), rng)
+        graphs.append(g)
+        graphs.append(_disjoint_union(g, random_connected_signed(rng, 1, 6)))
+    assert any(not sg.is_connected(g) for g in graphs)
+    for g in graphs:
+        gx = to_networkx(g)
+        for s in range(g.n):
+            hops = nx.single_source_shortest_path_length(gx, s)
+            assert _bfs_dist(g, s) == [hops.get(v, -1) for v in range(g.n)]
+
+
+def _union_cases(rng: random.Random, late: sg.SignedGraph) -> list[sg.SignedGraph]:
+    """Disjoint unions of K1 and two random positive trees, with `late` last."""
+    out = []
+    for _ in range(5):
+        g = sg.SignedGraph(1, ())
+        for _ in range(2):
+            n = rng.randint(1, 5)
+            tree = [(rng.randint(0, v - 1), v, 1) for v in range(1, n)]
+            g = _disjoint_union(g, sg.SignedGraph.from_edges(n, tree))
+        out.append(_disjoint_union(g, late))
+    return out
+
+
+def test_odd_cycle_in_a_later_component():
+    rng = random.Random(47)
+    odd = [sg.cycle_graph(k, [1] * k) for k in (3, 5, 7)] + [sg.petersen_graph()]
+    even = [sg.cycle_graph(k, [-1] * k) for k in (4, 6)] + [sg.complete_graph(2)]
+    for late in odd + even:
+        for g in _union_cases(rng, late):
+            assert not sg.is_connected(g)
+            assert sg.has_odd_cycle(g) == (late in odd) == (not nx.is_bipartite(to_networkx(g)))
+    for _ in range(40):
+        g = _disjoint_union(random_connected_signed(rng, 1, 6), random_connected_signed(rng, 1, 6))
+        assert sg.has_odd_cycle(g) == (not nx.is_bipartite(to_networkx(g)))
+
+
+def _check_potential_against_cycle_basis(g: sg.SignedGraph) -> bool:
+    """balance_potential is None iff a basis cycle is negative; else it switches
+    every edge positive.  Returns whether g is balanced."""
+    signs = [sg.cycle_sign(g, c) for c in nx.cycle_basis(to_networkx(g))]
+    zeta = sg.balance_potential(g)
+    assert (zeta is None) == (-1 in signs)
+    if zeta is not None:
+        assert all(zeta[u] * s * zeta[v] == 1 for u, v, s in g.edges)
+    return zeta is not None
+
+
+def test_negative_cycle_in_a_later_component():
+    rng = random.Random(53)
+    negative = [sg.cycle_graph(3, [-1, 1, 1]), sg.cycle_graph(4, [1, 1, 1, -1]), sg.complete_graph(4, -1)]
+    balanced = [sg.cycle_graph(4, [-1, 1, -1, 1]), sg.cycle_graph(3, [-1, -1, 1]), sg.complete_graph(3, 1)]
+    for late in negative + balanced:
+        for g in _union_cases(rng, late):
+            assert _check_potential_against_cycle_basis(g) == (late in balanced)
+    for _ in range(40):
+        parts = [random_balanced_connected(rng, 1, 5) for _ in range(3)]
+        if rng.random() < 0.5:
+            parts[-1] = random_connected_signed(rng, 3, 6)
+        g = _disjoint_union(_disjoint_union(parts[0], parts[1]), parts[2])
+        assert _check_potential_against_cycle_basis(g) == sg.is_balanced(parts[-1])
+
+
 def test_two_connected_matches_articulation_oracle():
     rng = random.Random(13)
     for _ in range(60):
@@ -272,3 +340,26 @@ def test_net_degree_c4_one_negative():
 def test_net_degree_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         sg.net_degree(sg.complete_graph(2), 5)
+
+
+C5 = sg.cycle_graph(5, [1, -1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("bad", [-1, -5, 5, 9])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: sg.net_degree(C5, x),
+        lambda x: sg.signed_bfs(C5, x),
+        lambda x: sg.odd_even_distance(C5, x, 0),
+        lambda x: sg.odd_even_distance(C5, 0, x),
+        lambda x: sg.brute_force_summary(C5, x, 0),
+        lambda x: sg.brute_force_summary(C5, 0, x),
+        lambda x: sg.tensor_distance(C5, sg.complete_graph(2), (0, 0), (x, x)),
+        lambda x: sg.tensor_distance(C5, sg.complete_graph(2), (x, 0), (0, 1)),
+    ],
+    ids=["net_degree", "signed_bfs", "oed_u", "oed_v", "oracle_u", "oracle_v", "tensor_to", "tensor_from"],
+)
+def test_vertex_out_of_range_rejected(call, bad):
+    with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=5"):
+        call(bad)

@@ -14,6 +14,7 @@ import networkx as nx
 K2P = sg.complete_graph(2, 1)
 K2N = sg.complete_graph(2, -1)
 C3P = sg.cycle_graph(3, [1, 1, 1])
+K1 = sg.SignedGraph(1, ())
 
 
 def bfs_product_distance(g: sg.SignedGraph, u: int, v: int) -> int:
@@ -164,14 +165,21 @@ def test_tensor_is_connected_criterion():
     assert not sg.tensor_is_connected(K2P, K2P)
     assert sg.tensor_is_connected(K2P, C3P)
     assert sg.tensor_is_connected(sg.cycle_graph(5, [1] * 5), sg.cycle_graph(4, [1] * 4))
+    # An edgeless factor leaves the product edgeless: connected only as K1 x K1.
+    assert not sg.tensor_is_connected(K1, C3P)
+    assert not sg.tensor_is_connected(C3P, K1)
+    assert sg.tensor_is_connected(K1, K1)
 
 
 def test_tensor_is_connected_matches_reality():
     rng = random.Random(19)
-    for _ in range(30):
-        g1 = random_connected_signed(rng, 2, 5)
-        g2 = random_connected_signed(rng, 2, 5)
+    orders = set()
+    for _ in range(40):
+        g1 = random_connected_signed(rng, 1, 5)
+        g2 = random_connected_signed(rng, 1, 5)
+        orders.add(min(g1.n, g2.n))
         assert sg.tensor_is_connected(g1, g2) == nx.is_connected(to_networkx(sg.tensor(g1, g2)))
+    assert 1 in orders
 
 
 def test_tensor_is_connected_rejects_disconnected_factor():
@@ -184,6 +192,42 @@ def test_odd_even_distance_examples():
     assert sg.odd_even_distance(C3P, 0, 0) == sg.OddEvenDistance(od=3, ed=0)
     c5 = sg.cycle_graph(5, [1] * 5)
     assert sg.odd_even_distance(c5, 0, 2) == sg.OddEvenDistance(od=3, ed=2)
+
+
+def _walk_parity_distances(g: sg.SignedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest odd / even l <= 2n with (A^l)[u, v] nonzero, from boolean
+    matrix powers; inf where there is none."""
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v, _ in g.edges:
+        a[u, v] = a[v, u] = 1
+    best = np.full((2, g.n, g.n), math.inf)
+    reach = np.eye(g.n, dtype=np.int64)
+    for length in range(2 * g.n + 1):
+        side = best[length % 2]
+        side[(reach > 0) & (side == math.inf)] = length
+        reach = np.minimum(reach @ a, 1)
+    return best[1], best[0]
+
+
+def test_odd_even_distance_matches_boolean_matrix_powers():
+    rng = random.Random(31)
+    graphs = [K1, K2P, K2N, C3P, sg.path_graph(4, [1, -1, 1]), sg.petersen_graph()]
+    graphs += [sg.cycle_graph(k, [1] * k) for k in (4, 5, 6, 7)]
+    graphs += [random_balanced_connected(rng, 2, 7) for _ in range(10)]
+    for _ in range(10):
+        # Bipartite by index parity: a spanning tree and random extra edges,
+        # each joining an even and an odd vertex.
+        n = rng.randint(2, 8)
+        edges = {(rng.choice(range(1 - v % 2, v, 2)), v) for v in range(1, n)}
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if (v - u) % 2 and rng.random() < 0.4}
+        graphs.append(sg.SignedGraph.from_edges(n, [(u, v, rng.choice((1, -1))) for u, v in edges]))
+    graphs += [random_connected_signed(rng, 2, 8) for _ in range(20)]
+    assert any(not sg.has_odd_cycle(g) for g in graphs) and any(sg.has_odd_cycle(g) for g in graphs)
+    for g in graphs:
+        od, ed = _walk_parity_distances(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                assert sg.odd_even_distance(g, u, v) == sg.OddEvenDistance(od=od[u, v], ed=ed[u, v]), (g, u, v)
 
 
 def test_odd_even_distance_parity_and_bound():
@@ -232,6 +276,9 @@ def test_tensor_distance_matches_bfs():
 def test_tensor_distance_rejects_disconnected_product():
     with pytest.raises(ValueError, match="disconnected"):
         sg.tensor_distance(K2P, K2P, (0, 0), (1, 1))
+    with pytest.raises(ValueError, match="disconnected"):
+        sg.tensor_distance(K1, C3P, (0, 0), (0, 1))
+    assert sg.tensor_distance(K1, K1, (0, 0), (0, 0)) == 0
 
 
 # -- theorem checks -----------------------------------------------------------
@@ -241,6 +288,12 @@ def test_theorem_report_compatible_pair():
     assert rep["cartesian"] == {"product_compatible": True, "expected": True, "agrees": True}
     assert rep["lexicographic"]["sufficiency_holds"] and rep["lexicographic"]["iff_agrees"]
     assert rep["tensor"]["only_if_holds"]
+
+
+def test_theorem_report_skips_edgeless_tensor():
+    rep = sg.check_product_compatibility_theorems(K1, C3P)
+    assert rep["tensor"] == {"skipped": "product disconnected"}
+    assert rep["cartesian"]["agrees"] and rep["lexicographic"]["sufficiency_holds"]
 
 
 def test_theorem_report_mixed_second_factor():
