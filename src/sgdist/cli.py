@@ -121,8 +121,7 @@ def _cmd_product(args) -> int:
     elif args.kind == "lex":
         prod = products.lexicographic(g1, g2)
     else:
-        if not products.tensor_is_connected(g1, g2):
-            raise ValueError("tensor product disconnected: neither factor has an odd cycle")
+        products._check_tensor_connected(g1, g2)
         prod = products.tensor(g1, g2)
     _emit(args, core.serialize_edge_list(prod))
     return EXIT_OK

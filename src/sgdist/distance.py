@@ -7,14 +7,16 @@ sigma_max / sigma_min are the largest / smallest achievable shortest-path
 signs.  A graph is (distance-)compatible when sigma_max = sigma_min for
 every pair, i.e. the two distance matrices coincide.
 
-All-pairs results (both matrices, the incompatible pairs, compatibility,
-the associated complete graph) come from `signed_distances`, one BFS run
-from every source at once over Python-int bitsets; witness paths and
-conjecture certificates are walked back through one row of it and checked
-against an unsigned BFS.  `signed_bfs` and `brute_force_summary` remain
-as reference routes for tests and demos; both take their hop distances
-from `core._bfs_dist`, so this module runs no BFS loop of its own besides
-the all-sources pass.
+All-pairs results come from one BFS run from every source at once over
+Python-int bitsets (`_signed_bitsets`).  Compatibility is decided on those
+bitsets alone; `signed_distances` unpacks them into numpy arrays only for
+callers that read matrices or pairs (both matrices, the incompatible
+pairs, the associated complete graph, witnesses).  Witness paths and
+conjecture certificates are walked back through one row of those arrays
+and checked against an unsigned BFS.  `signed_bfs` and
+`brute_force_summary` remain as reference routes for tests and demos;
+both take their hop distances from `core._bfs_dist`, so this module runs
+no BFS loop of its own besides the all-sources pass.
 """
 
 from __future__ import annotations
@@ -142,18 +144,20 @@ def _bit_rows(cols: list[int], n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
-def signed_distances(g: SignedGraph) -> SignedDistances:
-    """Signed all-pairs distances from one BFS run from every source at once.
+def _signed_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]]:
+    """The all-sources level loop behind `signed_distances`, as Python-int bitsets.
 
-    Each vertex v carries Python-int bitsets over sources: bit s of
-    `unseen[v]` is set while v is still unreached from s, and bit s of the
-    frontier sets `fpos[v]` / `fneg[v]` is set when v was reached from s at
-    the current level by a positive / negative shortest path.  One level
-    ORs, for every vertex not yet reached from all sources, its neighbours'
-    frontier bits, swapping the two signs across negative edges; the bits
-    not seen before form the vertex's next frontier.  Distances are stored
-    bit-sliced: bit s of `planes[k][v]` is bit k of d(s, v).  Distances
-    are symmetric, so the bitset of v read as a row is row v of each matrix.
+    Each vertex v carries bitsets over sources: bit s of `unseen[v]` is set
+    while v is still unreached from s, and bit s of the frontier sets
+    `fpos[v]` / `fneg[v]` is set when v was reached from s at the current
+    level by a positive / negative shortest path.  One level ORs, for every
+    vertex not yet reached from all sources, its neighbours' frontier bits,
+    swapping the two signs across negative edges; the bits not seen before
+    form the vertex's next frontier.  Returns `(pos, neg, planes)`: bit s of
+    `pos[v]` / `neg[v]` says a positive / negative shortest s-v path exists,
+    and distances are bit-sliced, bit s of `planes[k][v]` being bit k of
+    d(s, v).  Distances are symmetric, so the bitset of v read as a row is
+    row v of each matrix.
 
     Raises ValueError on a disconnected graph.
     """
@@ -199,6 +203,11 @@ def signed_distances(g: SignedGraph) -> SignedDistances:
             raise ValueError(_DISCONNECTED)
         fpos, fneg = npos, nneg
         active = [v for v in active if unseen[v]]
+    return pos, neg, planes
+
+
+def _assemble(n: int, pos: list[int], neg: list[int], planes: list[list[int]]) -> SignedDistances:
+    """The read-only `SignedDistances` arrays of the bitsets from `_signed_bitsets`."""
     dist = np.zeros((n, n), dtype=np.int32)
     for k, plane in enumerate(planes):
         dist[_bit_rows(plane, n)] += 1 << k
@@ -206,6 +215,15 @@ def signed_distances(g: SignedGraph) -> SignedDistances:
     for a in (out.dist, out.pos, out.neg):
         a.flags.writeable = False
     return out
+
+
+def signed_distances(g: SignedGraph) -> SignedDistances:
+    """Signed all-pairs distances from one BFS run from every source at once.
+
+    The level loop is `_signed_bitsets`; its bitsets are unpacked into the
+    `dist`, `pos` and `neg` arrays.  Raises ValueError on a disconnected graph.
+    """
+    return _assemble(g.n, *_signed_bitsets(g))
 
 
 def _check_which(which: str) -> str:
@@ -238,8 +256,14 @@ def incompatible_pairs(g: SignedGraph) -> list[tuple[int, int]]:
 
 
 def is_compatible(g: SignedGraph) -> bool:
-    """True iff every vertex pair has all its shortest paths of one sign."""
-    return not signed_distances(g).incompatible.any()
+    """True iff every vertex pair has all its shortest paths of one sign.
+
+    Decided on the bitsets of the all-sources pass, with no array built: a
+    pair is incompatible iff its bit is set in both `pos` and `neg`.
+    Raises ValueError on a disconnected graph.
+    """
+    pos, neg, _ = _signed_bitsets(g)
+    return not any(p & q for p, q in zip(pos, neg))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .core import SignedGraph, _bfs_dist, _check_vertex, has_odd_cycle, is_connected
-from .distance import _opposite_paths, _sorted_pairs, is_compatible, signed_distances
+from .distance import _assemble, _opposite_paths, _signed_bitsets, _sorted_pairs, is_compatible
 
 __all__ = [
     "pair_index",
@@ -49,18 +49,26 @@ def index_pair(idx: int, n2: int) -> tuple[int, int]:
     return divmod(idx, n2)
 
 
+# The three products index (i, j) as i*n2 + j inline and emit every edge
+# (i,j) ~ (k,l) with its ends already in order: either the first
+# coordinate moves along a factor edge i < k, or it is fixed and the second
+# moves along j < l.  So the edge list only needs sorting, and
+# SignedGraph.__post_init__ still validates it.
+
+
 def cartesian(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     """(i,j) ~ (k,l) iff one coordinate is fixed and the other moves along an
     edge; the product edge copies that edge's sign."""
     n2 = g2.n
     edges = []
     for i, k, s in g1.edges:
+        a, b = i * n2, k * n2
         for j in range(n2):
-            edges.append((pair_index(i, j, n2), pair_index(k, j, n2), s))
+            edges.append((a + j, b + j, s))
     for j, l, s in g2.edges:
-        for i in range(g1.n):
-            edges.append((pair_index(i, j, n2), pair_index(i, l, n2), s))
-    return SignedGraph.from_edges(g1.n * n2, edges)
+        for a in range(0, g1.n * n2, n2):
+            edges.append((a + j, a + l, s))
+    return SignedGraph(g1.n * n2, tuple(sorted(edges)))
 
 
 def lexicographic(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
@@ -69,13 +77,14 @@ def lexicographic(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     n2 = g2.n
     edges = []
     for i, k, s in g1.edges:
-        for j in range(n2):
-            for l in range(n2):
-                edges.append((pair_index(i, j, n2), pair_index(k, l, n2), s))
-    for i in range(g1.n):
+        a, b = i * n2, k * n2
+        for x in range(a, a + n2):
+            for y in range(b, b + n2):
+                edges.append((x, y, s))
+    for a in range(0, g1.n * n2, n2):
         for j, l, s in g2.edges:
-            edges.append((pair_index(i, j, n2), pair_index(i, l, n2), s))
-    return SignedGraph.from_edges(g1.n * n2, edges)
+            edges.append((a + j, a + l, s))
+    return SignedGraph(g1.n * n2, tuple(sorted(edges)))
 
 
 def tensor(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
@@ -84,10 +93,12 @@ def tensor(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     n2 = g2.n
     edges = []
     for i, k, s1 in g1.edges:
+        a, b = i * n2, k * n2
         for j, l, s2 in g2.edges:
-            edges.append((pair_index(i, j, n2), pair_index(k, l, n2), s1 * s2))
-            edges.append((pair_index(i, l, n2), pair_index(k, j, n2), s1 * s2))
-    return SignedGraph.from_edges(g1.n * n2, edges)
+            s = s1 * s2
+            edges.append((a + j, b + l, s))
+            edges.append((a + l, b + j, s))
+    return SignedGraph(g1.n * n2, tuple(sorted(edges)))
 
 
 def tensor_is_connected(g1: SignedGraph, g2: SignedGraph) -> bool:
@@ -102,6 +113,16 @@ def tensor_is_connected(g1: SignedGraph, g2: SignedGraph) -> bool:
     if not g1.m or not g2.m:
         return g1.n * g2.n == 1
     return has_odd_cycle(g1) or has_odd_cycle(g2)
+
+
+def _check_tensor_connected(g1: SignedGraph, g2: SignedGraph) -> None:
+    """Raise ValueError naming the cause when g1 x g2 is disconnected."""
+    if tensor_is_connected(g1, g2):
+        return
+    for name, g in (("first", g1), ("second", g2)):
+        if not g.m:
+            raise ValueError(f"tensor product disconnected: the {name} factor has no edges")
+    raise ValueError("tensor product disconnected: neither factor has an odd cycle")
 
 
 @dataclass(frozen=True)
@@ -135,8 +156,7 @@ def tensor_distance(
 ) -> int:
     """Distance in the tensor product from coordinate odd/even distances:
     min of max(od1, od2) and max(ed1, ed2)."""
-    if not tensor_is_connected(g1, g2):
-        raise ValueError("tensor product disconnected: neither factor has an odd cycle")
+    _check_tensor_connected(g1, g2)
     u1, u2 = uv1
     v1, v2 = uv2
     a = odd_even_distance(g1, u1, v1)
@@ -256,8 +276,11 @@ def conjecture_search(
     the second factor that its compatibility does not constrain).  Each
     reported pair is certified by two opposite-sign shortest paths checked
     against an unsigned BFS; a failed certificate raises RuntimeError
-    naming the pair.  Deterministic for a fixed seed: trial t uses its own
-    RNG stream seeded by (seed, t), so results do not depend on scheduling.
+    naming the pair.  Each product is decided on the bitsets of the
+    all-sources pass; distance arrays, sorted pairs and certificates are
+    built only for a product that has an incompatible pair.  Deterministic
+    for a fixed seed: trial t uses its own RNG stream seeded by (seed, t),
+    so results do not depend on scheduling.
     """
     out = []
     for t in range(trials):
@@ -269,10 +292,11 @@ def conjecture_search(
         if not (has_odd_cycle(g1) or has_odd_cycle(g2)):
             continue
         prod = tensor(g1, g2)
-        sd = signed_distances(prod)
-        bad = _sorted_pairs(sd)
-        if not bad:
+        pos, neg, planes = _signed_bitsets(prod)
+        if not any(p & q for p, q in zip(pos, neg)):
             continue
+        sd = _assemble(prod.n, pos, neg, planes)
+        bad = _sorted_pairs(sd)
         targets: dict[int, list[int]] = {}
         for u, v in bad:
             targets.setdefault(u, []).append(v)

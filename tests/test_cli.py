@@ -112,7 +112,11 @@ def test_product_tensor_edgeless_factor_error(fixtures, capsys):
     code, out, err = invoke(capsys, "product", "--kind", "tensor", fixtures["k1"], fixtures["c3"])
     assert code == 1
     assert out == ""
-    assert "tensor product disconnected" in err
+    assert "tensor product disconnected: the first factor has no edges" in err
+    assert "odd cycle" not in err
+    code, out, err = invoke(capsys, "product", "--kind", "tensor", fixtures["c3"], fixtures["k1"])
+    assert (code, out) == (1, "")
+    assert "tensor product disconnected: the second factor has no edges" in err
 
 
 def test_product_writes_edge_list(fixtures, capsys, tmp_path):

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sgdist as sg
 from conftest import (
@@ -281,6 +281,38 @@ def test_random_petersen_signings_compatible():
     for _ in range(15):
         g = sg.petersen_signing([rng.choice((1, -1)) for _ in range(15)])
         assert sg.is_compatible(g)
+
+
+@st.composite
+def signed_graphs(draw, max_n: int = 10):
+    """Random signed graphs, connected or not."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = [
+        (u, v, draw(st.sampled_from((1, -1))))
+        for u in range(n) for v in range(u + 1, n) if draw(st.booleans())
+    ]
+    return sg.SignedGraph(n, tuple(edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(connected_signed_graphs(), signed_graphs()))
+@example(sg.SignedGraph(1, ()))
+@example(sg.SignedGraph(3, ((0, 1, -1),)))
+@example(C4_ONE_NEG)
+def test_is_compatible_agrees_with_arrays_and_oracle(g):
+    if not sg.is_connected(g):
+        msg = re.escape("graph is disconnected; signed distances are undefined")
+        with pytest.raises(ValueError, match=msg):
+            sg.is_compatible(g)
+        with pytest.raises(ValueError, match=msg):
+            sg.signed_distances(g)
+        return
+    compatible = sg.is_compatible(g)
+    assert compatible == (not sg.signed_distances(g).incompatible.any())
+    oracle = all(sg.brute_force_summary(g, u, v).compatible for u in range(g.n) for v in range(u + 1, g.n))
+    assert compatible == oracle
+    if g.n == 1:
+        assert compatible
 
 
 def test_c4_incompatible_pairs():

@@ -6,7 +6,7 @@ import pytest
 
 import sgdist as sg
 from sgdist import products
-from sgdist.distance import _opposite_paths
+from sgdist.distance import _opposite_paths, _signed_bitsets
 from conftest import nx_path_signs, random_balanced_connected, random_connected_signed, to_networkx
 
 import networkx as nx
@@ -159,6 +159,37 @@ def test_cartesian_tensor_commutative_up_to_swap():
             assert swapped == ba
 
 
+def _reference_product_edges(kind, g1, g2):
+    """Product edge lists straight from the definitions, each end indexed
+    through pair_index and left unordered for from_edges to normalise."""
+    n2 = g2.n
+    edges = []
+    if kind == "tensor":
+        for i, k, s1 in g1.edges:
+            for j, l, s2 in g2.edges:
+                edges.append((sg.pair_index(i, j, n2), sg.pair_index(k, l, n2), s1 * s2))
+                edges.append((sg.pair_index(i, l, n2), sg.pair_index(k, j, n2), s1 * s2))
+        return edges
+    for i, k, s in g1.edges:
+        for j in range(n2):
+            for l in range(n2) if kind == "lexicographic" else (j,):
+                edges.append((sg.pair_index(i, j, n2), sg.pair_index(k, l, n2), s))
+    for j, l, s in g2.edges:
+        for i in range(g1.n):
+            edges.append((sg.pair_index(i, j, n2), sg.pair_index(i, l, n2), s))
+    return edges
+
+
+def test_products_equal_normalised_reference_edge_lists():
+    rng = random.Random(29)
+    factors = [K1, K2P, K2N, C3P] + [random_connected_signed(rng, 2, 6) for _ in range(6)]
+    for g1 in factors:
+        for g2 in factors:
+            for kind, build in (("cartesian", sg.cartesian), ("lexicographic", sg.lexicographic), ("tensor", sg.tensor)):
+                want = sg.SignedGraph.from_edges(g1.n * g2.n, _reference_product_edges(kind, g1, g2))
+                assert build(g1, g2) == want, (kind, g1, g2)
+
+
 # -- connectivity criterion and odd/even distances -----------------------------
 
 def test_tensor_is_connected_criterion():
@@ -274,10 +305,13 @@ def test_tensor_distance_matches_bfs():
 
 
 def test_tensor_distance_rejects_disconnected_product():
-    with pytest.raises(ValueError, match="disconnected"):
+    with pytest.raises(ValueError, match="^tensor product disconnected: neither factor has an odd cycle$"):
         sg.tensor_distance(K2P, K2P, (0, 0), (1, 1))
-    with pytest.raises(ValueError, match="disconnected"):
+    # K3 has an odd cycle; the edgeless factor is the cause.
+    with pytest.raises(ValueError, match="^tensor product disconnected: the first factor has no edges$"):
         sg.tensor_distance(K1, C3P, (0, 0), (0, 1))
+    with pytest.raises(ValueError, match="^tensor product disconnected: the second factor has no edges$"):
+        sg.tensor_distance(C3P, K1, (0, 0), (1, 0))
     assert sg.tensor_distance(K1, K1, (0, 0), (0, 0)) == 0
 
 
@@ -400,16 +434,43 @@ def test_opposite_paths_reject_corrupted_distances():
 
 
 def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
-    # A negative bit on a pair whose shortest paths are all positive is
-    # reported as incompatible by the pass but cannot be certified.
+    # A negative bit on a pair whose shortest paths are all positive flags
+    # the product as incompatible in the bitset pass, but the pair cannot
+    # be certified.
     def corrupt(g):
-        sd = sg.signed_distances(g)
-        u, v = np.argwhere(sd.pos & ~sd.neg & (sd.dist > 0))[0].tolist()
-        return _corrupted(sd, neg={(u, v): True})
+        pos, neg, planes = _signed_bitsets(g)
+        u, v = next(
+            (u, v) for u in range(g.n) for v in range(g.n)
+            if u != v and pos[u] >> v & 1 and not neg[u] >> v & 1
+        )
+        neg[u] |= 1 << v
+        neg[v] |= 1 << u
+        return pos, neg, planes
 
-    monkeypatch.setattr(products, "signed_distances", corrupt)
+    monkeypatch.setattr(products, "_signed_bitsets", corrupt)
     with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\)"):
         sg.conjecture_search(40, max_n=6, seed=123)
+
+
+def test_conjecture_search_misses_no_candidate():
+    # Certificates reject false positives; this replays every trial's RNG
+    # stream and checks the bitset skip drops no incompatible product.
+    trials, max_n, seed = 300, 7, 1
+    found = {c.trial: c for c in sg.conjecture_search(trials, max_n=max_n, seed=seed)}
+    products_built = 0
+    for t in range(trials):
+        rng = random.Random(f"{seed}:{t}")
+        g1 = products._random_connected_compatible(rng, max_n)
+        g2 = products._random_connected_compatible(rng, max_n)
+        if g1 is None or g2 is None or not (sg.has_odd_cycle(g1) or sg.has_odd_cycle(g2)):
+            assert t not in found
+            continue
+        products_built += 1
+        want = tuple(sg.incompatible_pairs(sg.tensor(g1, g2)))
+        if t in found:
+            assert (found[t].g1, found[t].g2) == (g1, g2)
+        assert (found[t].product_pairs if t in found else ()) == want, t
+    assert products_built > 200 and 0 < len(found) < products_built
 
 
 def test_tensor_does_not_preserve_compatibility():
