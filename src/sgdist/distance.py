@@ -8,15 +8,21 @@ signs.  A graph is (distance-)compatible when sigma_max = sigma_min for
 every pair, i.e. the two distance matrices coincide.
 
 All-pairs results come from one BFS run from every source at once over
-Python-int bitsets (`_signed_bitsets`).  Compatibility is decided on those
-bitsets alone; `signed_distances` unpacks them into numpy arrays only for
-callers that read matrices or pairs (both matrices, the incompatible
-pairs, the associated complete graph, witnesses).  Witness paths and
-conjecture certificates are walked back through one row of those arrays
-and checked against an unsigned BFS.  `signed_bfs` and
-`brute_force_summary` remain as reference routes for tests and demos;
-both take their hop distances from `core._bfs_dist`, so this module runs
-no BFS loop of its own besides the all-sources pass.
+bitsets of sources (`_signed_bitsets`), stored at one of two widths: a
+Python int per set while a set fits in one 64-bit machine word (n <= 64),
+and packed uint64 words beyond that, where each level is one numpy gather
+and reduction instead of a Python loop over every edge.  Within one
+word numpy's fixed cost per call outweighs the work, so small graphs keep
+the Python-int loop; both widths return the same Python-int bitsets.
+
+Compatibility is decided on those bitsets alone; `signed_distances` unpacks
+them into numpy arrays only for callers that read matrices or pairs (both
+matrices, the incompatible pairs, the associated complete graph,
+witnesses).  Witness paths and conjecture certificates are walked back
+through one row of those arrays and checked against an unsigned BFS.
+`signed_bfs` and `brute_force_summary` remain as reference routes for
+tests and demos; both take their hop distances from `core._bfs_dist`, so
+this module runs no BFS loop of its own besides the all-sources pass.
 """
 
 from __future__ import annotations
@@ -144,6 +150,13 @@ def _bit_rows(cols: list[int], n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
+# Bits in one machine word, and so in one uint64 word of the packed route.
+_WORD = 64
+# Bound on the words the packed route gathers per level (8 MiB): a dense
+# graph's half-edges times its source words would otherwise dwarf the result.
+_GATHER_WORDS = 1 << 20
+
+
 def _signed_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]]:
     """The all-sources level loop behind `signed_distances`, as Python-int bitsets.
 
@@ -159,8 +172,25 @@ def _signed_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int
     d(s, v).  Distances are symmetric, so the bitset of v read as a row is
     row v of each matrix.
 
+    The loop runs at one of two storage widths, chosen by whether a source
+    set fits in one machine word (`g.n <= _WORD`):
+    - up to one word, `_int_bitsets` keeps each set as a Python int and
+      loops per vertex and neighbour; every OR is then one word wide, and
+      numpy's fixed cost per call would outweigh it on the small graphs
+      the conjecture search checks by the thousand;
+    - beyond one word, `_word_bitsets` keeps the sets as columns of
+      `(ceil(n / 64), n)` uint64 arrays and runs each level as one numpy
+      gather and reduction over all edges.
+    Both return the same Python ints.  The boundary is a property of the
+    word size, not a tuning knob, so it is a constant and not an option.
+
     Raises ValueError on a disconnected graph.
     """
+    return _int_bitsets(g) if g.n <= _WORD else _word_bitsets(g)
+
+
+def _int_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]]:
+    """`_signed_bitsets` over one Python int per source set, at any order."""
     n = g.n
     adj = g.adjacency
     full = (1 << n) - 1
@@ -204,6 +234,72 @@ def _signed_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int
         fpos, fneg = npos, nneg
         active = [v for v in active if unseen[v]]
     return pos, neg, planes
+
+
+def _word_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]]:
+    """`_signed_bitsets` over packed uint64 words, at any order.
+
+    Arrays are `(W, n)`: word j of column v holds sources 64j..64j+63 of
+    vertex v.  The frontier is one stacked `(W, 2n)` array, the positive
+    columns then the negative ones, so a level is one gather of it along a
+    half-edge index in vertex order (a negative edge reads the opposite
+    half) and one `bitwise_or.reduceat` over each vertex's run of
+    half-edges, contiguous in memory.  The result is masked by `unseen`
+    exactly as in `_int_bitsets`, and each column is read back as one
+    Python int.  Sources never mix, so the loop runs on blocks of words,
+    each sized to keep the gathered `(words, 4m)` array within
+    `_GATHER_WORDS`; a sparse graph of a few hundred vertices is one block.
+    A vertex of degree 0 would be an empty run, which `reduceat` does not
+    reduce to 0, so it is refused as disconnected before the loop.
+    """
+    n = g.n
+    adj = g.adjacency
+    if n > 1 and not all(adj):
+        raise ValueError(_DISCONNECTED)
+    w = -(-n // _WORD)
+    word = np.dtype("<u8")
+    # Columns of the stacked frontier OR-ed into the positive, then the
+    # negative, result column of each vertex.
+    src = np.array([u if sgn > 0 else u + n for nbrs in adj for u, sgn in nbrs], dtype=np.intp)
+    src = np.concatenate((src, (src + n) % (2 * n)))
+    starts = np.cumsum([0] + [len(nbrs) for nbrs in adj[:-1]])
+    starts = np.concatenate((starts, starts + len(src) // 2))
+    v = np.arange(n)
+    pos = np.zeros((w, n), dtype=word)
+    pos[v // _WORD, v] = np.uint64(1) << (v % _WORD).astype(word)
+    neg = np.zeros((w, n), dtype=word)
+    unseen = np.full((w, n), ~np.uint64(0), dtype=word)
+    unseen[-1] >>= np.uint64(w * _WORD - n)
+    unseen ^= pos
+    planes: list[np.ndarray] = []
+    step = max(1, _GATHER_WORDS // max(len(src), 1))
+    for j in range(0, w, step):
+        # Views of this block's words, updated in place.
+        bpos, bneg, bunseen = pos[j : j + step], neg[j : j + step], unseen[j : j + step]
+        front = np.concatenate((bpos, bneg), axis=1)
+        level = 0
+        while bunseen.any():
+            level += 1
+            if level == 1 << len(planes):
+                planes.append(np.zeros((w, n), dtype=word))
+            front = np.bitwise_or.reduceat(front.take(src, axis=1), starts, axis=1)
+            new = (front[:, :n] | front[:, n:]) & bunseen
+            if not new.any():
+                raise ValueError(_DISCONNECTED)
+            bunseen ^= new
+            front[:, :n] &= new
+            front[:, n:] &= new
+            bpos |= front[:, :n]
+            bneg |= front[:, n:]
+            for k, plane in enumerate(planes):
+                if level >> k & 1:
+                    plane[j : j + step] |= new
+    return _ints(pos), _ints(neg), [_ints(p) for p in planes]
+
+
+def _ints(a: np.ndarray) -> list[int]:
+    """Each column of a `(W, n)` little-endian uint64 array as one Python int."""
+    return [int.from_bytes(col.tobytes(), "little") for col in a.T]
 
 
 def _assemble(n: int, pos: list[int], neg: list[int], planes: list[list[int]]) -> SignedDistances:

@@ -280,8 +280,13 @@ def conjecture_search(
     all-sources pass; distance arrays, sorted pairs and certificates are
     built only for a product that has an incompatible pair.  Deterministic
     for a fixed seed: trial t uses its own RNG stream seeded by (seed, t),
-    so results do not depend on scheduling.
+    so results do not depend on scheduling.  Raises ValueError when trials
+    is negative or max_n is below 2, the smallest factor order.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if max_n < 2:
+        raise ValueError(f"max_n must be >= 2, got {max_n}")
     out = []
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")

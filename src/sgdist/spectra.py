@@ -395,7 +395,13 @@ class Spectrum:
 
 def cluster_eigenvalues(values: Iterable[float], tol: float = 1e-6) -> Spectrum:
     """Group a sorted eigenvalue list into (mean, multiplicity) pairs,
-    splitting wherever the gap between neighbors exceeds tol."""
+    splitting wherever the gap between neighbors exceeds tol.
+
+    Raises ValueError unless tol is finite and >= 0: a NaN gap test never
+    splits, and a negative or infinite tol splits or merges everything.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     vals = sorted(values, reverse=True)
     if not vals:
         raise ValueError("no eigenvalues to cluster")

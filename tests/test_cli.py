@@ -54,6 +54,17 @@ def test_spectrum_text_golden(fixtures, capsys):
     assert out.strip() == "(9 x1) (4 x4) (-5 x5)"
 
 
+@pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+def test_spectrum_bad_tolerance_is_domain_error(tmp_path, capsys, tol, shown):
+    path = tmp_path / "c3.sg"
+    path.write_text(sg.serialize_edge_list(sg.cycle_graph(3, [1, 1, -1])), encoding="utf-8")
+    code, out, err = invoke(capsys, "spectrum", str(path), f"--tol={tol}")
+    assert (code, out) == (1, "")
+    assert err == f"error: tol must be a finite number >= 0, got {shown}\n"
+    code, out, _ = invoke(capsys, "spectrum", str(path))
+    assert (code, out.strip()) == (0, "(1 x2) (-2 x1)")
+
+
 def test_spectrum_incompatible_is_domain_error(fixtures, capsys):
     code, _, err = invoke(capsys, "spectrum", fixtures["c4"])
     assert code == 1
@@ -184,6 +195,19 @@ def test_parse_error_reports_line(capsys, tmp_path):
     bad.write_text("3 3\n0 1 +\n1 2 +\n0 2 +\n0 2 +\n", encoding="utf-8")
     code, _, err = invoke(capsys, "compat", str(bad))
     assert code == 1 and "line 5" in err and "duplicate" in err
+
+
+@pytest.mark.parametrize(
+    "argv, msg",
+    [
+        (["--trials", "-3"], "trials must be >= 0, got -3"),
+        (["--trials", "5", "--max-n", "1"], "max_n must be >= 2, got 1"),
+    ],
+)
+def test_conjecture_bad_arguments_are_domain_errors(capsys, tmp_path, argv, msg):
+    code, out, err = invoke(capsys, "conjecture", *argv, "--outdir", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error: {msg}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_conjecture_smoke(capsys, tmp_path):

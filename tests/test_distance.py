@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sgdist as sg
+from sgdist import distance
+from sgdist.distance import _int_bitsets, _word_bitsets
 from conftest import (
     check_witness,
     nx_path_signs,
@@ -156,6 +158,17 @@ def connected_signed_graphs(draw, max_n: int = 10):
     return sg.SignedGraph.from_edges(n, [(u, v, s) for (u, v), s in edges.items()])
 
 
+@st.composite
+def signed_graphs(draw, max_n: int = 10):
+    """Random signed graphs, connected or not."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = [
+        (u, v, draw(st.sampled_from((1, -1))))
+        for u in range(n) for v in range(u + 1, n) if draw(st.booleans())
+    ]
+    return sg.SignedGraph(n, tuple(edges))
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_signed_graphs())
 def test_signed_distances_match_bfs_rows_and_oracle(g):
@@ -172,7 +185,7 @@ def test_signed_distances_match_bfs_rows_and_oracle(g):
                 assert (sd.d_max[u, v], sd.d_min[u, v]) == (summ.d_max, summ.d_min)
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129])
 def test_signed_distances_orders_around_byte_and_word_edges(n):
     rng = random.Random(n)
     edges = [(rng.randrange(v), v, rng.choice((1, -1))) for v in range(1, n)]
@@ -180,7 +193,13 @@ def test_signed_distances_orders_around_byte_and_word_edges(n):
         u, v = sorted(rng.sample(range(n), 2))
         if all((a, b) != (u, v) for a, b, _ in edges):
             edges.append((u, v, rng.choice((1, -1))))
-    assert_matches_bfs_rows(sg.SignedGraph.from_edges(n, edges))
+    g = sg.SignedGraph.from_edges(n, edges)
+    assert_matches_bfs_rows(g)
+    graphs = [g] + ([sg.cycle_graph(n, [rng.choice((1, -1)) for _ in range(n)])] if n > 2 else [])
+    for h in graphs:
+        pos, neg, _ = assert_routes_agree(h)
+        # Row n - 1 reads every source, the last word's top bit included.
+        assert pos[n - 1] | neg[n - 1] == (1 << n) - 1
 
 
 def test_signed_distances_long_cycle():
@@ -216,6 +235,129 @@ def test_matrices_and_pairs_match_bfs_reference_on_gnp60():
     got = sg.incompatible_pairs(g)
     assert want and got == [(u, v) for _, u, v in want]
     assert all(type(x) is int for p in got for x in p)
+
+
+# -- the two storage widths of the all-sources pass -------------------------
+
+DISCONNECTED = re.escape("graph is disconnected; signed distances are undefined")
+
+
+def assert_routes_agree(g):
+    """Both level loops give identical bitsets, or the same error."""
+    try:
+        want = _int_bitsets(g)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _word_bitsets(g)
+        return None
+    got = _word_bitsets(g)
+    assert got == want
+    assert all(type(x) is int for rows in (got[0], got[1], *got[2]) for x in rows)
+    return got
+
+
+@st.composite
+def wide_connected_signed_graphs(draw):
+    """Connected signed graphs above one word: a random spanning tree whose
+    parents lie within `span` of each vertex (span 1 is a path, so the
+    diameter ranges up to n - 1), plus a few random extra edges."""
+    n = draw(st.integers(min_value=65, max_value=160))
+    span = draw(st.sampled_from((1, 2, 4, n)))
+    sign = st.sampled_from((1, -1))
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(min_value=max(0, v - span), max_value=v - 1)), v)] = draw(sign)
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    for u, v, s in draw(st.lists(st.tuples(vertex, vertex, sign), max_size=n)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), s)
+    return sg.SignedGraph.from_edges(n, [(u, v, s) for (u, v), s in edges.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_connected_signed_graphs())
+def test_routes_agree_on_wide_connected_graphs(g):
+    assert assert_routes_agree(g) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(connected_signed_graphs(), signed_graphs()))
+@example(sg.SignedGraph(1, ()))
+@example(sg.SignedGraph(2, ()))
+def test_routes_agree_on_small_graphs(g):
+    assert (assert_routes_agree(g) is not None) == sg.is_connected(g)
+
+
+@pytest.mark.parametrize(
+    "g, n_planes",
+    [
+        (sg.cycle_graph(150, [-1 if i % 3 == 0 else 1 for i in range(150)]), 7),
+        (sg.path_graph(130, [(-1) ** i for i in range(129)]), 8),
+    ],
+)
+def test_routes_agree_on_long_cycles_and_paths(g, n_planes):
+    _, _, planes = assert_routes_agree(g)
+    assert len(planes) == n_planes
+
+
+def test_routes_agree_on_petersen_times_c7():
+    rng = random.Random(7)
+    for _ in range(5):
+        pet = sg.petersen_signing([rng.choice((1, -1)) for _ in range(15)])
+        prod = sg.cartesian(pet, sg.cycle_graph(7, [rng.choice((1, -1)) for _ in range(7)]))
+        assert prod.n == 70
+        assert_routes_agree(prod)
+
+
+def test_routes_agree_when_the_words_run_in_blocks(monkeypatch):
+    # A gather bound of one word runs every source word as its own block, as
+    # a dense graph does; the result and the disconnected error must not change.
+    rng = random.Random(11)
+    pet = sg.petersen_signing([rng.choice((1, -1)) for _ in range(15)])
+    connected = [
+        sg.cycle_graph(150, [rng.choice((1, -1)) for _ in range(150)]),
+        sg.cartesian(pet, sg.cycle_graph(7, [rng.choice((1, -1)) for _ in range(7)])),
+        sg.random_signed_gnp(200, 0.5, rng),
+    ]
+    disconnected = sg.SignedGraph.from_edges(150, [(v, v + 1, 1) for v in range(149) if v != 127])
+    want = [_int_bitsets(g) for g in connected]
+    monkeypatch.setattr(distance, "_GATHER_WORDS", 1)
+    assert [_word_bitsets(g) for g in connected] == want
+    with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
+        _word_bitsets(disconnected)
+
+
+def test_route_follows_the_word_size(monkeypatch):
+    calls = []
+    for name in ("_int_bitsets", "_word_bitsets"):
+        route = getattr(distance, name)
+        monkeypatch.setattr(distance, name, lambda g, name=name, route=route: calls.append(name) or route(g))
+    for n in (3, 64, 65, 200):
+        sg.is_compatible(sg.cycle_graph(n, [1] * n))
+    assert calls == ["_int_bitsets", "_int_bitsets", "_word_bitsets", "_word_bitsets"]
+
+
+@pytest.mark.parametrize("n", [65, 128, 129])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_isolated_vertex_is_disconnected_on_both_routes(n, where):
+    lone = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    rest = [v for v in range(n) if v != lone]
+    g = sg.SignedGraph.from_edges(n, [(a, b, (-1) ** a) for a, b in zip(rest, rest[1:])])
+    for route in (_int_bitsets, _word_bitsets, sg.signed_distances, sg.is_compatible):
+        with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
+            route(g)
+
+
+@pytest.mark.parametrize("n, cut", [(70, 64), (130, 64), (150, 128), (131, 128)])
+def test_routes_agree_on_a_component_in_a_later_word(n, cut):
+    # A path on 0..cut-1 and a cycle on cut..n-1: no vertex is isolated, so
+    # the loop itself must find the graph disconnected.
+    edges = [(v, v + 1, -1) for v in range(cut - 1)]
+    edges += [(v, v + 1, 1) for v in range(cut, n - 1)] + [(cut, n - 1, -1)]
+    g = sg.SignedGraph.from_edges(n, edges)
+    for route in (_int_bitsets, _word_bitsets, sg.signed_distances):
+        with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
+            route(g)
 
 
 # -- distance matrices --------------------------------------------------------
@@ -281,17 +423,6 @@ def test_random_petersen_signings_compatible():
     for _ in range(15):
         g = sg.petersen_signing([rng.choice((1, -1)) for _ in range(15)])
         assert sg.is_compatible(g)
-
-
-@st.composite
-def signed_graphs(draw, max_n: int = 10):
-    """Random signed graphs, connected or not."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    edges = [
-        (u, v, draw(st.sampled_from((1, -1))))
-        for u in range(n) for v in range(u + 1, n) if draw(st.booleans())
-    ]
-    return sg.SignedGraph(n, tuple(edges))
 
 
 @settings(max_examples=80, deadline=None)

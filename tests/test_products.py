@@ -362,6 +362,19 @@ def test_conjecture_zero_trials():
     assert sg.conjecture_search(0) == []
 
 
+@pytest.mark.parametrize(
+    "kwargs, msg",
+    [
+        ({"trials": -3}, "trials must be >= 0, got -3"),
+        ({"trials": 5, "max_n": 1}, "max_n must be >= 2, got 1"),
+        ({"trials": 0, "max_n": -4}, "max_n must be >= 2, got -4"),
+    ],
+)
+def test_conjecture_search_rejects_bad_arguments(kwargs, msg):
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        sg.conjecture_search(**kwargs)
+
+
 def test_conjecture_search_deterministic():
     a = sg.conjecture_search(40, max_n=6, seed=123)
     b = sg.conjecture_search(40, max_n=6, seed=123)

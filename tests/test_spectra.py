@@ -380,6 +380,22 @@ def test_cluster_eigenvalues():
     assert spec.order == 3
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_bad_tolerance_rejected(tol):
+    msg = r"tol must be a finite number >= 0, got "
+    with pytest.raises(ValueError, match=msg):
+        sg.cluster_eigenvalues([1.0, 1.0, -2.0], tol=tol)
+    with pytest.raises(ValueError, match=msg):
+        sg.eig_symmetric(sg.distance_matrix(sg.cycle_graph(3, [1, 1, -1])), tol=tol)
+    with pytest.raises(ValueError, match=msg):
+        sg.lex_k2_spectrum(K2P, 1, tol=tol)
+
+
+def test_zero_tolerance_accepted():
+    spec = sg.cluster_eigenvalues([1.0, 1.0, -2.0], tol=0.0)
+    assert spec.entries == ((1.0, 2), (-2.0, 1))
+
+
 def test_spectrum_rendering():
     spec = sg.eig_symmetric(sg.distance_matrix(sg.petersen_graph()))
     assert str(spec) == "(15 x1) (0 x4) (-3 x5)"
