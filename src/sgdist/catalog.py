@@ -11,7 +11,9 @@ characteristic polynomial of D recovers exactly six classes, one per
 switching isomorphism type of minimal signed Petersen graph.  The census
 computes one polynomial per switching class (64 of them, told apart by the
 signs of the 6 fundamental cycles of a spanning tree) and takes class sizes
-and representatives from array reductions over all codes.
+and representatives from array reductions over all codes.  Each matrix
+comes from the all-sources signed pass (`compatible_distance_matrix`), so
+compatibility is checked on every signing the census builds, not assumed.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SignedGraph
-from .spectra import IntPolynomial, char_poly_batch
+from .core import SignedGraph, _SIGN_TOKENS, _check_sign
+from .spectra import IntPolynomial, char_poly_batch, compatible_distance_matrix
 
 __all__ = [
     "path_graph",
@@ -65,8 +67,7 @@ def complete_graph(n: int, sign: int = 1) -> SignedGraph:
     """Complete graph with one uniform sign."""
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    _check_sign(sign)
     return SignedGraph(n, tuple((u, v, sign) for u in range(n) for v in range(u + 1, n)))
 
 
@@ -86,8 +87,7 @@ def petersen_signing(signs: Sequence[int]) -> SignedGraph:
 
 def petersen_graph(sign: int = 1) -> SignedGraph:
     """Petersen graph with one uniform sign."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    _check_sign(sign)
     return petersen_signing([sign] * 15)
 
 
@@ -97,12 +97,16 @@ def generate(kind: str, params: Sequence[str]) -> SignedGraph:
     path N PATTERN / cycle N PATTERN / complete N SIGN / petersen SIGN,
     where PATTERN is a string over '+'/'-' and SIGN is '+' or '-'.
     """
+    def parse_n(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"N must be an integer, got {tok!r}") from None
+
     def parse_sign(tok: str) -> int:
-        if tok in ("+", "+1"):
-            return 1
-        if tok in ("-", "-1"):
-            return -1
-        raise ValueError(f"bad sign {tok!r} (use + or -)")
+        if tok not in _SIGN_TOKENS:
+            raise ValueError(f"bad sign {tok!r} (use + or -)")
+        return _SIGN_TOKENS[tok]
 
     def parse_pattern(tok: str) -> list[int]:
         return [parse_sign(ch) for ch in tok]
@@ -110,15 +114,15 @@ def generate(kind: str, params: Sequence[str]) -> SignedGraph:
     if kind == "path":
         if len(params) != 2:
             raise ValueError("usage: gen path N PATTERN")
-        return path_graph(int(params[0]), parse_pattern(params[1]))
+        return path_graph(parse_n(params[0]), parse_pattern(params[1]))
     if kind == "cycle":
         if len(params) != 2:
             raise ValueError("usage: gen cycle N PATTERN")
-        return cycle_graph(int(params[0]), parse_pattern(params[1]))
+        return cycle_graph(parse_n(params[0]), parse_pattern(params[1]))
     if kind == "complete":
         if len(params) != 2:
             raise ValueError("usage: gen complete N SIGN")
-        return complete_graph(int(params[0]), parse_sign(params[1]))
+        return complete_graph(parse_n(params[0]), parse_sign(params[1]))
     if kind == "petersen":
         if len(params) != 1:
             raise ValueError("usage: gen petersen SIGN")
@@ -166,56 +170,10 @@ class PetersenClassTable:
         return sum(c.size for c in self.classes)
 
 
-def _petersen_midpoints() -> list[tuple[int, int, int, int]]:
-    """(u, v, e1, e2) for each non-adjacent pair: e1, e2 index the two edges
-    of the unique 2-path u-w-v in PETERSEN_EDGES order."""
-    edge_idx = {}
-    for i, (u, v) in enumerate(PETERSEN_EDGES):
-        edge_idx[(u, v)] = i
-        edge_idx[(v, u)] = i
-    adj: list[set[int]] = [set() for _ in range(10)]
-    for u, v in PETERSEN_EDGES:
-        adj[u].add(v)
-        adj[v].add(u)
-    out = []
-    for u in range(10):
-        for v in range(u + 1, 10):
-            if v in adj[u]:
-                continue
-            mids = sorted(adj[u] & adj[v])
-            if len(mids) != 1:
-                raise AssertionError("Petersen must be geodetic with diameter 2")
-            w = mids[0]
-            out.append((u, v, edge_idx[(u, w)], edge_idx[(w, v)]))
-    return out
-
-
-_MIDPOINTS = _petersen_midpoints()
-
-
-def _signs_for_codes(codes: np.ndarray) -> np.ndarray:
-    """(len(codes), 15) sign array; bit b set in a code makes edge b negative."""
-    bits = (codes[:, None] >> np.arange(15)) & 1
-    return (1 - 2 * bits).astype(np.int64)
-
-
-def _distance_matrices_for_codes(codes: np.ndarray) -> np.ndarray:
-    """Stack of distance matrices, one per signing code.
-
-    Adjacent pairs carry the edge sign; each non-adjacent pair carries twice
-    the sign of its unique 2-path.  Valid because every Petersen signing is
-    geodetic with diameter 2.
-    """
-    signs = _signs_for_codes(codes)
-    d = np.zeros((len(codes), 10, 10), dtype=np.int64)
-    for i, (u, v) in enumerate(PETERSEN_EDGES):
-        d[:, u, v] = signs[:, i]
-        d[:, v, u] = signs[:, i]
-    for u, v, e1, e2 in _MIDPOINTS:
-        val = 2 * signs[:, e1] * signs[:, e2]
-        d[:, u, v] = val
-        d[:, v, u] = val
-    return d
+def _signing(code: int) -> SignedGraph:
+    """Petersen signing whose edge b (PETERSEN_EDGES order) is negative iff
+    bit b of code is set."""
+    return petersen_signing([1 - 2 * ((code >> b) & 1) for b in range(15)])
 
 
 def _fundamental_cycle_masks() -> list[int]:
@@ -288,13 +246,15 @@ def enumerate_petersen_signings() -> PetersenClassTable:
 
     Switching conjugates D by a diagonal +-1 matrix and so keeps its
     characteristic polynomial: one polynomial per switching class (64
-    classes of 512 signings) covers every code.
+    classes of 512 signings) covers every code.  Each matrix comes from the
+    all-sources signed pass, which raises ValueError if a signing is
+    incompatible.
     """
     total = 1 << 15
     codes = np.arange(total, dtype=np.int64)
     class_ids = _switching_classes(codes)
     ids, first = np.unique(class_ids, return_index=True)
-    polys = char_poly_batch(_distance_matrices_for_codes(codes[first]))
+    polys = char_poly_batch([compatible_distance_matrix(_signing(c)) for c in codes[first].tolist()])
 
     expected = {poly: label for label, poly in PETERSEN_CLASS_POLYNOMIALS.items()}
     distinct = {p.coeffs for p in polys}
@@ -305,9 +265,7 @@ def enumerate_petersen_signings() -> PetersenClassTable:
         )
     # Anchor signings pin three labels independently of the polynomial table:
     # all-positive is +P, a single negative edge lands in P1, all-negative in P3,3.
-    anchor_polys = char_poly_batch(
-        _distance_matrices_for_codes(np.array([0, 1, total - 1], dtype=np.int64))
-    )
+    anchor_polys = char_poly_batch([compatible_distance_matrix(_signing(c)) for c in (0, 1, total - 1)])
     for poly, label in zip(anchor_polys, ("+P", "P1", "P3,3")):
         if poly.coeffs != PETERSEN_CLASS_POLYNOMIALS[label]:
             raise RuntimeError(f"anchor signing for {label} has an unexpected polynomial")
@@ -325,7 +283,7 @@ def enumerate_petersen_signings() -> PetersenClassTable:
         classes.append(
             PetersenClass(
                 label=label,
-                representative=petersen_signing([1 - 2 * ((best >> b) & 1) for b in range(15)]),
+                representative=_signing(best),
                 char_poly=IntPolynomial(poly),
                 size=int(sizes[i]),
             )

@@ -35,9 +35,8 @@ def _read_graph(path: str) -> core.SignedGraph:
 
 
 def _emit(args, payload: str) -> None:
-    out = getattr(args, "output", None)
-    if out:
-        Path(out).write_text(payload, encoding="utf-8")
+    if args.output:
+        Path(args.output).write_text(payload, encoding="utf-8")
     else:
         end = "" if payload.endswith("\n") else "\n"
         print(payload, end=end)
@@ -258,63 +257,53 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="order, size, predicates, balance, net-degrees")
     p.add_argument("file")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("dist", help="signed distance matrix")
     p.add_argument("file")
     p.add_argument("--which", choices=("max", "min"), default="max")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("compat", help="compatibility verdict and incompatible pairs")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_compat)
 
     p = sub.add_parser("witness", help="least-distance incompatibility witness")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("product", help="signed graph product, emitted as an edge list")
     p.add_argument("--kind", choices=("cartesian", "lex", "tensor"), required=True)
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("dist-formula", help="Kronecker-form product distance matrix, checked against direct BFS")
     p.add_argument("--kind", choices=("cartesian", "lex"), required=True)
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_dist_formula)
 
     p = sub.add_parser("charpoly", help="exact characteristic polynomial of the distance matrix")
     p.add_argument("file")
     p.add_argument("--which", choices=("max", "min"), default="max")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_charpoly)
 
     p = sub.add_parser("spectrum", help="distance spectrum of a compatible signed graph")
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("gen", help="generate a named graph (path/cycle/complete/petersen)")
-    p.add_argument("-o", "--output")
     p.add_argument("kind")
     p.add_argument("params", nargs=argparse.REMAINDER)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("petersen-table", help="census of all 2^15 Petersen signings")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_petersen_table)
 
     p = sub.add_parser("conjecture", help="randomized tensor-compatibility counterexample search")
@@ -322,9 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", default=".")
-    p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_conjecture)
 
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output")
     return parser
 
 

@@ -462,17 +462,11 @@ def associated_complete(g: SignedGraph, which: str = "max") -> SignedGraph:
         raise ValueError("associated complete graph needs at least 2 vertices")
     sd = signed_distances(g)
     # sigma_max is +1 iff a positive shortest path exists; sigma_min is -1
-    # iff a negative one does.
+    # iff a negative one does.  An edge is the only shortest path between
+    # its ends, so the pass already holds its sign.
     signs = np.where(sd.pos, 1, -1) if w == "max" else np.where(sd.neg, -1, 1)
-    signs = signs.tolist()
-    edges = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                edges.append((u, v, g.sign(u, v)))
-            else:
-                edges.append((u, v, signs[u][v]))
-    return SignedGraph(g.n, tuple(edges))
+    iu, iv = np.triu_indices(g.n, k=1)
+    return SignedGraph(g.n, tuple(zip(iu.tolist(), iv.tolist(), signs[iu, iv].tolist())))
 
 
 def brute_force_summary(g: SignedGraph, u: int, v: int, max_n: int = 12) -> PairDistanceSummary:

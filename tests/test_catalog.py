@@ -97,15 +97,15 @@ def test_census_classes_closed_under_switching(petersen_table):
 
 
 def test_census_quotient_matches_exhaustive_polynomials(petersen_table):
-    # Every one of the 2^15 codes through char_poly_batch, grouped by
-    # polynomial, must give the quotient census's sizes and representatives.
-    from sgdist.catalog import _distance_matrices_for_codes
-
-    codes = np.arange(1 << 15, dtype=np.int64)
-    polys = sg.char_poly_batch(_distance_matrices_for_codes(codes))
+    # Every one of the 2^15 signings through the public distance route and
+    # char_poly_batch, grouped by polynomial, must give the quotient
+    # census's sizes and representatives.
+    all_signs = [tuple(1 - 2 * ((code >> b) & 1) for b in range(15)) for code in range(1 << 15)]
+    polys = sg.char_poly_batch(
+        [sg.compatible_distance_matrix(sg.petersen_signing(signs)) for signs in all_signs]
+    )
     groups = {}
-    for code, poly in zip(codes.tolist(), polys):
-        signs = tuple(1 - 2 * ((code >> b) & 1) for b in range(15))
+    for signs, poly in zip(all_signs, polys):
         key = (signs.count(-1), signs)
         size, best = groups.get(poly.coeffs, (0, key))
         groups[poly.coeffs] = (size + 1, min(best, key))
@@ -114,20 +114,6 @@ def test_census_quotient_matches_exhaustive_polynomials(petersen_table):
         size, (_, signs) = groups[c.char_poly.coeffs]
         assert c.size == size
         assert c.representative == sg.petersen_signing(signs)
-
-
-def test_census_fast_path_matches_bfs_route():
-    # The census builds D from edge signs and unique-2-path signs directly;
-    # spot-check that construction against the signed-BFS route.
-    from sgdist.catalog import _distance_matrices_for_codes
-
-    rng = random.Random(37)
-    codes = np.array(sorted(rng.sample(range(1 << 15), 40)), dtype=np.int64)
-    fast = _distance_matrices_for_codes(codes)
-    for code, d in zip(codes, fast):
-        signs = [1 - 2 * ((int(code) >> b) & 1) for b in range(15)]
-        g = sg.petersen_signing(signs)
-        assert np.array_equal(d, sg.distance_matrix(g, "max"))
 
 
 def test_only_two_classes_have_integral_spectra(petersen_table):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -173,6 +174,21 @@ def test_gen_roundtrip(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "params, msg",
+    [
+        (["path", "abc", "+"], "N must be an integer, got 'abc'"),
+        (["cycle", "4.0", "++++"], "N must be an integer, got '4.0'"),
+        (["complete", "", "-"], "N must be an integer, got ''"),
+        (["complete", "3", "x"], "bad sign 'x' (use + or -)"),
+        (["path", "3", "+*"], "bad sign '*' (use + or -)"),
+        (["petersen", "+2"], "bad sign '+2' (use + or -)"),
+    ],
+)
+def test_gen_bad_parameters_are_domain_errors(capsys, params, msg):
+    assert invoke(capsys, "gen", *params) == (1, "", f"error: {msg}\n")
+
+
 def test_gen_bad_kind(capsys):
     code, _, err = invoke(capsys, "gen", "moebius", "5")
     assert code == 1 and "unknown kind" in err
@@ -242,6 +258,38 @@ def test_outputs_deterministic(fixtures, capsys, tmp_path):
     ]
     for argv in commands:
         assert invoke(capsys, *argv) == invoke(capsys, *argv), argv
+
+
+OUTPUT_COMMANDS = {
+    "info": ["{pplus}"],
+    "dist": ["{c4}", "--format", "csv"],
+    "compat": ["{c4}", "--format", "json"],
+    "witness": ["{c4}"],
+    "product": ["--kind", "lex", "{k2}", "{c3}"],
+    "dist-formula": ["--kind", "cartesian", "{k2n}", "{c3}"],
+    "charpoly": ["{pminus}"],
+    "spectrum": ["{pplus}", "--format", "json"],
+    "gen": ["cycle", "4", "-+++"],
+    "petersen-table": [],
+    "conjecture": ["--trials", "8", "--max-n", "5", "--seed", "3", "--outdir", "{tmp}"],
+}
+
+
+def test_output_commands_cover_every_subcommand():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(OUTPUT_COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_output_file_holds_printed_bytes(fixtures, capsys, tmp_path, command):
+    argv = [command] + [a.format(tmp=tmp_path, **fixtures) for a in OUTPUT_COMMANDS[command]]
+    code, printed, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "") and printed
+    out_file = tmp_path / "out.txt"
+    assert invoke(capsys, *argv, "-o", str(out_file)) == (0, "", "")
+    written = out_file.read_text(encoding="utf-8")
+    # print adds the one newline a payload does not end with
+    assert printed == (written if written.endswith("\n") else written + "\n")
 
 
 def test_petersen_table_cli(capsys):

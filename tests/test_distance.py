@@ -552,6 +552,25 @@ def test_associated_complete_c4():
         assert gmax.sign(u, v) == s and gmin.sign(u, v) == s
 
 
+def test_associated_complete_matches_path_signs():
+    # Edges keep their sign; every other pair gets sigma_max (a positive
+    # shortest path exists) or sigma_min (a negative one does), in
+    # row-major pair order.
+    rng = random.Random(47)
+    for _ in range(60):
+        g = random_connected_signed(rng, 2, 9, 0.2, 0.7)
+        for which in ("max", "min"):
+            expected = []
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    signs = nx_path_signs(g, u, v)
+                    if g.has_edge(u, v):
+                        assert signs == {g.sign(u, v)}
+                    s = max(signs) if which == "max" else min(signs)
+                    expected.append((u, v, s))
+            assert sg.associated_complete(g, which).edges == tuple(expected)
+
+
 def test_associated_complete_needs_two_vertices():
     with pytest.raises(ValueError, match="at least 2"):
         sg.associated_complete(sg.SignedGraph(1, ()))
