@@ -42,10 +42,28 @@ def _emit(args, payload: str) -> None:
         print(payload, end=end)
 
 
+def _text_rows(mat: np.ndarray, sep: str) -> list[str]:
+    """The decimal text of each row of an integer matrix, entries joined by sep.
+
+    Entries are written through a table holding the text of every value in
+    [min, max], indexed by the matrix offset by min, so no Python int is made
+    per entry.  The table is used while it is shorter than two rows, as it
+    always is for a distance matrix (entries in [-(n-1), n-1]); a wider range
+    is written entry by entry.
+    """
+    if mat.size:
+        lo, hi = int(mat.min()), int(mat.max())
+        if hi - lo < 2 * mat.shape[1]:
+            table = np.array([str(x) for x in range(lo, hi + 1)], dtype=object)
+            return [sep.join(row.tolist()) for row in table[mat - lo]]
+    return [sep.join(map(str, row)) for row in mat.tolist()]
+
+
 def _matrix_payload(mat: np.ndarray, fmt: str) -> str:
     if fmt == "csv":
-        return "\n".join(",".join(map(str, row)) for row in mat.tolist()) + "\n"
-    return json.dumps({"order": int(mat.shape[0]), "entries": mat.tolist()})
+        return "\n".join(_text_rows(mat, ",")) + "\n"
+    entries = ", ".join("[" + row + "]" for row in _text_rows(mat, ", "))
+    return f'{{"order": {mat.shape[0]}, "entries": [{entries}]}}'
 
 
 def _cmd_info(args) -> int:
@@ -77,7 +95,10 @@ def _cmd_compat(args) -> int:
     g = _read_graph(args.file)
     pairs = distance.incompatible_pairs(g)
     if args.format == "json":
-        _emit(args, json.dumps({"compatible": not pairs, "incompatible_pairs": [list(p) for p in pairs]}))
+        # The json.dumps text, with each vertex written through a table.
+        table = [str(v) for v in range(g.n)]
+        body = ", ".join(["[" + table[u] + ", " + table[v] + "]" for u, v in pairs])
+        _emit(args, f'{{"compatible": {json.dumps(not pairs)}, "incompatible_pairs": [{body}]}}')
     elif pairs:
         _emit(args, "incompatible: " + " ".join(f"({u},{v})" for u, v in pairs))
     else:
@@ -333,3 +354,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,13 +13,14 @@ Python int per set while a set fits in one 64-bit machine word (n <= 64),
 and packed uint64 words beyond that, where each level is one numpy gather
 and reduction instead of a Python loop over every edge.  Within one
 word numpy's fixed cost per call outweighs the work, so small graphs keep
-the Python-int loop; both widths return the same Python-int bitsets.
+the Python-int loop, and each width returns its own bitsets.
 
-Compatibility is decided on those bitsets alone; `signed_distances` unpacks
-them into numpy arrays only for callers that read matrices or pairs (both
-matrices, the incompatible pairs, the associated complete graph,
-witnesses).  Witness paths and conjecture certificates are walked back
-through one row of those arrays and checked against an unsigned BFS.
+Compatibility is decided on those bitsets alone, at either width;
+`signed_distances` unpacks them into numpy arrays only for callers that read
+matrices or pairs (both matrices, the incompatible pairs, the associated
+complete graph, witnesses), packing the Python ints into one word row first.
+Witness paths and conjecture certificates are walked back through one row
+of those arrays and checked against an unsigned BFS.
 `signed_bfs` and `brute_force_summary` remain as reference routes for
 tests and demos; both take their hop distances from `core._bfs_dist`, so
 this module runs no BFS loop of its own besides the all-sources pass.
@@ -142,23 +143,20 @@ class SignedDistances:
         return self.pos & self.neg
 
 
-def _bit_rows(cols: list[int], n: int) -> np.ndarray:
-    """Bool array whose row i holds bits 0..n-1 of the Python int cols[i]."""
-    nb = (n + 7) // 8
-    buf = b"".join(x.to_bytes(nb, "little") for x in cols)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(cols), nb)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
-
-
 # Bits in one machine word, and so in one uint64 word of the packed route.
 _WORD = 64
 # Bound on the words the packed route gathers per level (8 MiB): a dense
 # graph's half-edges times its source words would otherwise dwarf the result.
 _GATHER_WORDS = 1 << 20
+# One packed word: little-endian, so its bytes unpack in source order.
+_U64 = np.dtype("<u8")
+
+# The bitsets of `_signed_bitsets`: Python ints up to one word, else `(W, n)` words.
+_Bitsets = tuple[list[int], list[int], list[list[int]]] | tuple[np.ndarray, np.ndarray, list[np.ndarray]]
 
 
-def _signed_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]]:
-    """The all-sources level loop behind `signed_distances`, as Python-int bitsets.
+def _signed_bitsets(g: SignedGraph) -> _Bitsets:
+    """The all-sources level loop behind `signed_distances`, as bitsets of sources.
 
     Each vertex v carries bitsets over sources: bit s of `unseen[v]` is set
     while v is still unreached from s, and bit s of the frontier sets
@@ -181,8 +179,11 @@ def _signed_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int
     - beyond one word, `_word_bitsets` keeps the sets as columns of
       `(ceil(n / 64), n)` uint64 arrays and runs each level as one numpy
       gather and reduction over all edges.
-    Both return the same Python ints.  The boundary is a property of the
-    word size, not a tuning knob, so it is a constant and not an option.
+    Each returns its own storage: Python ints from the first, and the
+    `(W, n)` arrays from the second, where word j of column v holds bits
+    64j..64j+63 of the int the first would return for v.  `_any_incompatible`
+    and `_assemble` read either.  The boundary is a property of the word
+    size, not a tuning knob, so it is a constant and not an option.
 
     Raises ValueError on a disconnected graph.
     """
@@ -236,7 +237,7 @@ def _int_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]]
     return pos, neg, planes
 
 
-def _word_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]]:
+def _word_bitsets(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """`_signed_bitsets` over packed uint64 words, at any order.
 
     Arrays are `(W, n)`: word j of column v holds sources 64j..64j+63 of
@@ -245,10 +246,11 @@ def _word_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]
     half-edge index in vertex order (a negative edge reads the opposite
     half) and one `bitwise_or.reduceat` over each vertex's run of
     half-edges, contiguous in memory.  The result is masked by `unseen`
-    exactly as in `_int_bitsets`, and each column is read back as one
-    Python int.  Sources never mix, so the loop runs on blocks of words,
-    each sized to keep the gathered `(words, 4m)` array within
-    `_GATHER_WORDS`; a sparse graph of a few hundred vertices is one block.
+    exactly as in `_int_bitsets`, and the arrays are returned as they are;
+    bits past source n - 1 in the last word stay 0.  Sources never mix, so
+    the loop runs on blocks of words, each sized to keep the gathered
+    `(words, 4m)` array within `_GATHER_WORDS`; a sparse graph of a few
+    hundred vertices is one block.
     A vertex of degree 0 would be an empty run, which `reduceat` does not
     reduce to 0, so it is refused as disconnected before the loop.
     """
@@ -257,7 +259,6 @@ def _word_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]
     if n > 1 and not all(adj):
         raise ValueError(_DISCONNECTED)
     w = -(-n // _WORD)
-    word = np.dtype("<u8")
     # Columns of the stacked frontier OR-ed into the positive, then the
     # negative, result column of each vertex.
     src = np.array([u if sgn > 0 else u + n for nbrs in adj for u, sgn in nbrs], dtype=np.intp)
@@ -265,10 +266,10 @@ def _word_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]
     starts = np.cumsum([0] + [len(nbrs) for nbrs in adj[:-1]])
     starts = np.concatenate((starts, starts + len(src) // 2))
     v = np.arange(n)
-    pos = np.zeros((w, n), dtype=word)
-    pos[v // _WORD, v] = np.uint64(1) << (v % _WORD).astype(word)
-    neg = np.zeros((w, n), dtype=word)
-    unseen = np.full((w, n), ~np.uint64(0), dtype=word)
+    pos = np.zeros((w, n), dtype=_U64)
+    pos[v // _WORD, v] = np.uint64(1) << (v % _WORD).astype(_U64)
+    neg = np.zeros((w, n), dtype=_U64)
+    unseen = np.full((w, n), ~np.uint64(0), dtype=_U64)
     unseen[-1] >>= np.uint64(w * _WORD - n)
     unseen ^= pos
     planes: list[np.ndarray] = []
@@ -281,7 +282,7 @@ def _word_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]
         while bunseen.any():
             level += 1
             if level == 1 << len(planes):
-                planes.append(np.zeros((w, n), dtype=word))
+                planes.append(np.zeros((w, n), dtype=_U64))
             front = np.bitwise_or.reduceat(front.take(src, axis=1), starts, axis=1)
             new = (front[:, :n] | front[:, n:]) & bunseen
             if not new.any():
@@ -294,20 +295,40 @@ def _word_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]
             for k, plane in enumerate(planes):
                 if level >> k & 1:
                     plane[j : j + step] |= new
-    return _ints(pos), _ints(neg), [_ints(p) for p in planes]
+    return pos, neg, planes
 
 
-def _ints(a: np.ndarray) -> list[int]:
-    """Each column of a `(W, n)` little-endian uint64 array as one Python int."""
-    return [int.from_bytes(col.tobytes(), "little") for col in a.T]
+def _any_incompatible(pos: list[int] | np.ndarray, neg: list[int] | np.ndarray) -> bool:
+    """True iff some bit is set in both `pos` and `neg` from `_signed_bitsets`.
+
+    The Python ints of small graphs are tested with no numpy call: the
+    conjecture search asks this of thousands of small products.
+    """
+    if isinstance(pos, np.ndarray):
+        return bool((pos & neg).any())
+    return any(p & q for p, q in zip(pos, neg))
 
 
-def _assemble(n: int, pos: list[int], neg: list[int], planes: list[list[int]]) -> SignedDistances:
-    """The read-only `SignedDistances` arrays of the bitsets from `_signed_bitsets`."""
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """`(n, n)` uint8 0/1 array whose row v holds bits 0..n-1 of column v of `(W, n)` words."""
+    return np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), axis=1, count=n, bitorder="little")
+
+
+def _assemble(
+    n: int, pos: list[int] | np.ndarray, neg: list[int] | np.ndarray, planes: list
+) -> SignedDistances:
+    """The read-only `SignedDistances` arrays of the bitsets from `_signed_bitsets`.
+
+    Python ints are first packed into one word row, so both widths unpack
+    the same way: one `np.unpackbits` per array, and one shift-OR per
+    distance plane into `dist`.
+    """
+    if not isinstance(pos, np.ndarray):
+        pos, neg, *planes = (np.array([x], dtype=_U64) for x in (pos, neg, *planes))
     dist = np.zeros((n, n), dtype=np.int32)
     for k, plane in enumerate(planes):
-        dist[_bit_rows(plane, n)] += 1 << k
-    out = SignedDistances(dist=dist, pos=_bit_rows(pos, n), neg=_bit_rows(neg, n))
+        dist |= np.left_shift(_unpack(plane, n), k, dtype=np.int32)
+    out = SignedDistances(dist=dist, pos=_unpack(pos, n).view(bool), neg=_unpack(neg, n).view(bool))
     for a in (out.dist, out.pos, out.neg):
         a.flags.writeable = False
     return out
@@ -341,8 +362,10 @@ def distance_matrix(g: SignedGraph, which: str = "max") -> np.ndarray:
 
 
 def _sorted_pairs(sd: SignedDistances) -> list[tuple[int, int]]:
+    # `nonzero` lists the pairs in (u, v) order, which a stable sort keeps
+    # among pairs at one distance.
     u, v = np.nonzero(np.triu(sd.incompatible, k=1))
-    order = np.lexsort((v, u, sd.dist[u, v]))
+    order = np.argsort(sd.dist[u, v], kind="stable")
     return list(zip(u[order].tolist(), v[order].tolist()))
 
 
@@ -354,12 +377,12 @@ def incompatible_pairs(g: SignedGraph) -> list[tuple[int, int]]:
 def is_compatible(g: SignedGraph) -> bool:
     """True iff every vertex pair has all its shortest paths of one sign.
 
-    Decided on the bitsets of the all-sources pass, with no array built: a
-    pair is incompatible iff its bit is set in both `pos` and `neg`.
+    Decided on the bitsets of the all-sources pass, with no distance array
+    built: a pair is incompatible iff its bit is set in both `pos` and `neg`.
     Raises ValueError on a disconnected graph.
     """
     pos, neg, _ = _signed_bitsets(g)
-    return not any(p & q for p, q in zip(pos, neg))
+    return not _any_incompatible(pos, neg)
 
 
 @dataclass(frozen=True)
@@ -432,13 +455,16 @@ def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:
     disjoint: a shared internal vertex w would split them into two segment
     pairs of equal lengths, u-w and w-v, and since the whole paths differ in
     sign one segment pair differs in sign too, an incompatible pair closer
-    than k.  The pair comes first in (distance, u, v) order, so none is.
+    than k.  The pair comes first in (distance, u, v) order, so none is:
+    among the incompatible pairs u < v at the least distance, the first in
+    row-major order.
     """
     sd = signed_distances(g)
-    pairs = _sorted_pairs(sd)
-    if not pairs:
+    bad = np.triu(sd.incompatible, k=1)
+    if not bad.any():
         return None
-    u, v = pairs[0]
+    least = bad & (sd.dist == sd.dist[bad].min())
+    u, v = divmod(int(np.argmax(least)), g.n)
     [(p_pos, p_neg)] = _opposite_paths(g, sd, u, [v])
     if set(p_pos[1:-1]) & set(p_neg[1:-1]):
         raise AssertionError(f"opposite-sign shortest paths of least incompatible pair ({u},{v}) intersect")

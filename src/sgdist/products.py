@@ -19,7 +19,14 @@ import random
 from dataclasses import dataclass
 
 from .core import SignedGraph, _bfs_dist, _check_vertex, has_odd_cycle, is_connected
-from .distance import _assemble, _opposite_paths, _signed_bitsets, _sorted_pairs, is_compatible
+from .distance import (
+    _any_incompatible,
+    _assemble,
+    _opposite_paths,
+    _signed_bitsets,
+    _sorted_pairs,
+    is_compatible,
+)
 
 __all__ = [
     "pair_index",
@@ -298,7 +305,7 @@ def conjecture_search(
             continue
         prod = tensor(g1, g2)
         pos, neg, planes = _signed_bitsets(prod)
-        if not any(p & q for p, q in zip(pos, neg)):
+        if not _any_incompatible(pos, neg):
             continue
         sd = _assemble(prod.n, pos, neg, planes)
         bad = _sorted_pairs(sd)

@@ -1,12 +1,15 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import sgdist as sg
 from sgdist.cli import _build_parser, _matrix_payload, run
@@ -337,3 +340,70 @@ def test_run_sequence_matches_fresh_processes(fixtures, capsys, tmp_path):
             assert (tmp_path / f"seq{i}.sg").read_text() == (tmp_path / f"fresh{i}.sg").read_text() != ""
     assert codes == {0, 1, 2}
     assert _build_parser() is _build_parser()
+
+
+def _int64_matrices(max_side=6):
+    """Integer matrices: distance-like ranges, and any int64 value."""
+    shape = st.tuples(st.integers(1, max_side), st.integers(1, max_side))
+    small = shape.flatmap(lambda s: arrays(np.int64, s, elements=st.integers(-(s[1] - 1), s[1] - 1)))
+    wide = shape.flatmap(lambda s: arrays(np.int64, s, elements=st.integers(-(2**63), 2**63 - 1)))
+    return st.one_of(small, wide)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int64_matrices())
+@example(np.array([[0]]))
+@example(np.array([[0, -3, 3, 1]]))
+@example(np.array([[-(2**63), 2**63 - 1]]))
+@example(np.array([[2**63 - 1, 2**63 - 2], [2**63 - 3, 2**63 - 1]]))
+def test_matrix_payload_matches_json_dumps_and_str(mat):
+    assert _matrix_payload(mat, "json") == json.dumps({"order": mat.shape[0], "entries": mat.tolist()})
+    assert _matrix_payload(mat, "csv") == "\n".join(",".join(map(str, row)) for row in mat.tolist()) + "\n"
+
+
+def test_dist_payloads_match_json_dumps_on_distance_matrices():
+    rng = random.Random(300)
+    graphs = [sg.cycle_graph(150, [rng.choice((1, -1)) for _ in range(150)]), sg.petersen_graph(-1)]
+    graphs.append(sg.random_signed_gnp(90, 0.1, rng))
+    for g in graphs:
+        for which in ("max", "min"):
+            mat = sg.distance_matrix(g, which)
+            assert _matrix_payload(mat, "json") == json.dumps({"order": g.n, "entries": mat.tolist()})
+            assert _matrix_payload(mat, "csv") == "".join(",".join(map(str, r)) + "\n" for r in mat.tolist())
+
+
+@pytest.mark.parametrize(
+    "g, n_pairs",
+    [
+        (sg.petersen_graph(1), 0),
+        # C4 with the chord 1-3: only (0, 2) sees paths of both signs.
+        (sg.SignedGraph.from_edges(4, [(0, 1, -1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (1, 3, 1)]), 1),
+        (sg.cycle_graph(150, [-1] + [1] * 149), 75),
+    ],
+    ids=["no-pairs", "one-pair", "many-pairs"],
+)
+def test_compat_json_matches_json_dumps(capsys, tmp_path, g, n_pairs):
+    path = tmp_path / "g.sg"
+    path.write_text(sg.serialize_edge_list(g), encoding="utf-8")
+    pairs = sg.incompatible_pairs(g)
+    assert len(pairs) == n_pairs
+    want = json.dumps({"compatible": not pairs, "incompatible_pairs": [list(p) for p in pairs]})
+    assert invoke(capsys, "compat", str(path), "--format", "json") == (0, want + "\n", "")
+
+
+def test_module_entry_point_runs_the_cli(fixtures, tmp_path):
+    # `python -m sgdist.cli` runs the same commands with the same exit codes.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def module(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgdist.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, err = module("dist", fixtures["c4"], "--which", "min", "--format", "csv")
+    assert (code, out, err) == (0, "0,-1,-2,1\n-1,0,1,-2\n-2,1,0,1\n1,-2,1,0\n", "")
+    code, out, err = module("dist", str(tmp_path / "missing.sg"))
+    assert code == 1 and out == "" and err.startswith("error: cannot read ")
+    code, out, err = module("nosuch")
+    assert code == 2 and out == "" and "invalid choice" in err

@@ -202,6 +202,14 @@ def test_signed_distances_orders_around_byte_and_word_edges(n):
         assert pos[n - 1] | neg[n - 1] == (1 << n) - 1
 
 
+def test_signed_distances_long_path_past_one_byte_of_planes():
+    # P_300 has diameter 299: nine distance planes, one more than a byte holds.
+    g = sg.path_graph(300, [(-1) ** (i // 3) for i in range(299)])
+    assert len(_word_bitsets(g)[2]) == 9
+    sd = assert_matches_bfs_rows(g)
+    assert sd.dist.max() == 299
+
+
 def test_signed_distances_long_cycle():
     rng = random.Random(257)
     g = sg.cycle_graph(257, [rng.choice((1, -1)) for _ in range(257)])
@@ -242,17 +250,33 @@ def test_matrices_and_pairs_match_bfs_reference_on_gnp60():
 DISCONNECTED = re.escape("graph is disconnected; signed distances are undefined")
 
 
+def word_ints(bits):
+    """`_word_bitsets` arrays as `_int_bitsets` returns them: every word column
+    read back as one Python int, after checking the arrays' dtype and shape."""
+    pos, neg, planes = bits
+    assert all(a.dtype == np.dtype("<u8") and a.shape == pos.shape for a in (pos, neg, *planes))
+
+    def columns(a):
+        return [int.from_bytes(col.tobytes(), "little") for col in a.T]
+
+    return columns(pos), columns(neg), [columns(p) for p in planes]
+
+
 def assert_routes_agree(g):
-    """Both level loops give identical bitsets, or the same error."""
+    """Both level loops give the same bitsets bit for bit, or the same error;
+    returns them as Python ints."""
     try:
         want = _int_bitsets(g)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             _word_bitsets(g)
         return None
-    got = _word_bitsets(g)
+    words = _word_bitsets(g)
+    assert words[0].shape == (-(-g.n // 64), g.n)
+    got = word_ints(words)
     assert got == want
-    assert all(type(x) is int for rows in (got[0], got[1], *got[2]) for x in rows)
+    assert all(type(x) is int for rows in (want[0], want[1], *want[2]) for x in rows)
+    assert distance._any_incompatible(*words[:2]) == distance._any_incompatible(*want[:2])
     return got
 
 
@@ -322,9 +346,21 @@ def test_routes_agree_when_the_words_run_in_blocks(monkeypatch):
     disconnected = sg.SignedGraph.from_edges(150, [(v, v + 1, 1) for v in range(149) if v != 127])
     want = [_int_bitsets(g) for g in connected]
     monkeypatch.setattr(distance, "_GATHER_WORDS", 1)
-    assert [_word_bitsets(g) for g in connected] == want
+    assert [word_ints(_word_bitsets(g)) for g in connected] == want
     with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
         _word_bitsets(disconnected)
+
+
+def test_any_incompatible_reads_every_word():
+    # Source 129 sits in the third word; one shared bit there decides, as
+    # bit 129 of one Python int does.
+    pos = np.zeros((3, 130), dtype="<u8")
+    neg = pos.copy()
+    pos[2, 7] = neg[2, 7] = 1 << 1
+    assert distance._any_incompatible(pos, neg)
+    assert not distance._any_incompatible(pos, neg ^ pos)
+    assert distance._any_incompatible([0, 1 << 129], [1, 1 << 129])
+    assert not distance._any_incompatible([1 << 129, 1], [1 << 128, 0])
 
 
 def test_route_follows_the_word_size(monkeypatch):
@@ -528,6 +564,21 @@ def test_witness_sound_on_random_incompatible_graphs():
         w = sg.least_incompatible_witness(g)
         check_witness(g, w)
         found += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(connected_signed_graphs(), wide_connected_signed_graphs()))
+@example(sg.cycle_graph(4, [1, 1, 1, 1]))
+@example(C4_ONE_NEG)
+def test_witness_pair_is_the_first_sorted_pair(g):
+    # The witness takes its pair without sorting; it must be the first of the
+    # pairs sorted by (distance, u, v), and those must be sorted.
+    sd = sg.signed_distances(g)
+    pairs = distance._sorted_pairs(sd)
+    dist = sd.dist.tolist()
+    assert pairs == sorted(pairs, key=lambda p: (dist[p[0]][p[1]], p))
+    w = sg.least_incompatible_witness(g)
+    assert (w and w.pair) == (pairs[0] if pairs else None)
 
 
 # -- associated complete graph ------------------------------------------------
