@@ -254,7 +254,7 @@ def enumerate_petersen_signings() -> PetersenClassTable:
     codes = np.arange(total, dtype=np.int64)
     class_ids = _switching_classes(codes)
     ids, first = np.unique(class_ids, return_index=True)
-    polys = char_poly_batch([compatible_distance_matrix(_signing(c)) for c in codes[first].tolist()])
+    polys = char_poly_batch(np.stack([compatible_distance_matrix(_signing(c)) for c in codes[first].tolist()]))
 
     expected = {poly: label for label, poly in PETERSEN_CLASS_POLYNOMIALS.items()}
     distinct = {p.coeffs for p in polys}
@@ -265,7 +265,7 @@ def enumerate_petersen_signings() -> PetersenClassTable:
         )
     # Anchor signings pin three labels independently of the polynomial table:
     # all-positive is +P, a single negative edge lands in P1, all-negative in P3,3.
-    anchor_polys = char_poly_batch([compatible_distance_matrix(_signing(c)) for c in (0, 1, total - 1)])
+    anchor_polys = char_poly_batch(np.stack([compatible_distance_matrix(_signing(c)) for c in (0, 1, total - 1)]))
     for poly, label in zip(anchor_polys, ("+P", "P1", "P3,3")):
         if poly.coeffs != PETERSEN_CLASS_POLYNOMIALS[label]:
             raise RuntimeError(f"anchor signing for {label} has an unexpected polynomial")

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -48,8 +49,10 @@ def _check_sign(s: int) -> int:
 class SignedGraph:
     """Immutable simple undirected graph with +1/-1 edge signs.
 
-    `edges` is a sorted tuple of (u, v, sign) triples with u < v.  Use
-    :meth:`from_edges` to build one from unnormalized input.
+    `edges` takes (u, v, sign) triples with u < v in any order; the
+    constructor sorts them, so `edges` is a sorted tuple and two values
+    compare and hash equal exactly when they hold the same graph.  Use
+    :meth:`from_edges` to build one from triples whose ends may be swapped.
     """
 
     n: int
@@ -58,26 +61,23 @@ class SignedGraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        seen = set()
+        # Checked before sorting: sorting a malformed triple raises TypeError.
         for u, v, s in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
             _check_sign(s)
-            if (u, v) in seen:
+        edges = tuple(sorted(self.edges))
+        for (u, v, _), (x, y, _) in pairwise(edges):
+            if u == x and v == y:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "SignedGraph":
-        """Build a graph, normalizing each (u, v, s) so that u < v."""
-        norm = []
-        for u, v, s in edges:
-            if u > v:
-                u, v = v, u
-            norm.append((int(u), int(v), int(s)))
-        return cls(n, tuple(sorted(norm)))
+        """Build a graph, orienting each (u, v, s) so that u < v."""
+        return cls(n, tuple((int(min(u, v)), int(max(u, v)), int(s)) for u, v, s in edges))
 
     @property
     def m(self) -> int:
@@ -86,11 +86,14 @@ class SignedGraph:
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex tuple of (neighbor, sign) pairs, sorted by neighbor."""
+        # Ascending without a sort: the edges are sorted with u < v, so w's
+        # neighbours u < w arrive first, in order of u, from edges (u, w, s),
+        # and then its neighbours v > w, in order of v, from edges (w, v, s).
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for u, v, s in self.edges:
             adj[u].append((v, s))
             adj[v].append((u, s))
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def _sign_lookup(self) -> dict[tuple[int, int], int]:
@@ -180,12 +183,12 @@ def parse_edge_list(text: str) -> SignedGraph:
         seen_pairs.add(key)
         if len(edges) == m:
             raise EdgeListError(line_no, f"more than the declared {m} edges")
-        edges.append((u, v, s))
+        edges.append((*key, s))
     if n is None:
         raise EdgeListError(1, "empty input, expected header 'n m'")
     if len(edges) != m:
         raise EdgeListError(1, f"header declares {m} edges, found {len(edges)}")
-    return SignedGraph.from_edges(n, edges)
+    return SignedGraph(n, tuple(edges))
 
 
 def serialize_edge_list(g: SignedGraph) -> str:

@@ -446,6 +446,28 @@ def _opposite_paths(
     return out
 
 
+def _certified_incompatible_pairs(g: SignedGraph) -> list[tuple[int, int]]:
+    """`incompatible_pairs` of g, each certified by `_opposite_paths`.
+
+    A compatible g is answered from the bitsets alone, with no distance
+    array built: the conjecture search asks this of thousands of products,
+    few of them incompatible.  Raises RuntimeError naming a pair that
+    fails its certificate.
+    """
+    pos, neg, planes = _signed_bitsets(g)
+    if not _any_incompatible(pos, neg):
+        return []
+    sd = _assemble(g.n, pos, neg, planes)
+    bad = _sorted_pairs(sd)
+    targets: dict[int, list[int]] = {}
+    for u, v in bad:
+        targets.setdefault(u, []).append(v)
+    # Called for the certificate alone: it raises on a pair it cannot certify.
+    for u, vs in targets.items():
+        _opposite_paths(g, sd, u, vs)
+    return bad
+
+
 def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:
     """Witness for the incompatible pair at least distance, or None if compatible.
 

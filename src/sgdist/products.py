@@ -19,14 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .core import SignedGraph, _bfs_dist, _check_vertex, has_odd_cycle, is_connected
-from .distance import (
-    _any_incompatible,
-    _assemble,
-    _opposite_paths,
-    _signed_bitsets,
-    _sorted_pairs,
-    is_compatible,
-)
+from .distance import _certified_incompatible_pairs, is_compatible
 
 __all__ = [
     "pair_index",
@@ -59,8 +52,7 @@ def index_pair(idx: int, n2: int) -> tuple[int, int]:
 # The three products index (i, j) as i*n2 + j inline and emit every edge
 # (i,j) ~ (k,l) with its ends already in order: either the first
 # coordinate moves along a factor edge i < k, or it is fixed and the second
-# moves along j < l.  So the edge list only needs sorting, and
-# SignedGraph.__post_init__ still validates it.
+# moves along j < l.  So every edge meets the constructor's u < v as built.
 
 
 def cartesian(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
@@ -75,7 +67,7 @@ def cartesian(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     for j, l, s in g2.edges:
         for a in range(0, g1.n * n2, n2):
             edges.append((a + j, a + l, s))
-    return SignedGraph(g1.n * n2, tuple(sorted(edges)))
+    return SignedGraph(g1.n * n2, tuple(edges))
 
 
 def lexicographic(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
@@ -91,7 +83,7 @@ def lexicographic(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     for a in range(0, g1.n * n2, n2):
         for j, l, s in g2.edges:
             edges.append((a + j, a + l, s))
-    return SignedGraph(g1.n * n2, tuple(sorted(edges)))
+    return SignedGraph(g1.n * n2, tuple(edges))
 
 
 def tensor(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
@@ -105,7 +97,7 @@ def tensor(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
             s = s1 * s2
             edges.append((a + j, b + l, s))
             edges.append((a + l, b + j, s))
-    return SignedGraph(g1.n * n2, tuple(sorted(edges)))
+    return SignedGraph(g1.n * n2, tuple(edges))
 
 
 def tensor_is_connected(g1: SignedGraph, g2: SignedGraph) -> bool:
@@ -234,14 +226,18 @@ def random_signed_gnp(n: int, p: float, rng: random.Random) -> SignedGraph:
     return SignedGraph(n, tuple(edges))
 
 
-def _random_connected_compatible(rng: random.Random, max_n: int, attempts: int = 300) -> SignedGraph | None:
+# Draws per factor before a conjecture-search trial is skipped.
+_ATTEMPTS = 300
+
+
+def _random_connected_compatible(rng: random.Random, max_n: int) -> SignedGraph | None:
     """Rejection-sample a connected compatible signed graph of order 2..max_n.
 
     Half the draws reuse a balanced signing (vertex potential), which is
     always compatible, so the accepted pool is not dominated by tiny or
     nearly all-positive graphs.
     """
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         n = rng.randint(2, max_n)
         p = rng.uniform(0.35, 0.9)
         g = random_signed_gnp(n, p, rng)
@@ -303,17 +299,7 @@ def conjecture_search(
             continue
         if not (has_odd_cycle(g1) or has_odd_cycle(g2)):
             continue
-        prod = tensor(g1, g2)
-        pos, neg, planes = _signed_bitsets(prod)
-        if not _any_incompatible(pos, neg):
-            continue
-        sd = _assemble(prod.n, pos, neg, planes)
-        bad = _sorted_pairs(sd)
-        targets: dict[int, list[int]] = {}
-        for u, v in bad:
-            targets.setdefault(u, []).append(v)
-        # Called for the certificate alone: it raises on a pair it cannot certify.
-        for u, vs in targets.items():
-            _opposite_paths(prod, sd, u, vs)
-        out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(bad)))
+        bad = _certified_incompatible_pairs(tensor(g1, g2))
+        if bad:
+            out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(bad)))
     return out

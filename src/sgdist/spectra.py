@@ -324,11 +324,9 @@ def _lex_diagonal_block(g2: SignedGraph) -> np.ndarray:
     with a uniformly signed second factor every such two-step path is
     positive, so they contribute +2.
     """
-    block = np.full((g2.n, g2.n), 2, dtype=np.int64)
+    block = adjacency_matrix(g2)
+    block[block == 0] = 2
     np.fill_diagonal(block, 0)
-    for u, v, s in g2.edges:
-        block[u, v] = s
-        block[v, u] = s
     return block
 
 

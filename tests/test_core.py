@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import islice
 
 import pytest
@@ -64,6 +65,59 @@ def test_parse_errors(text, needle):
 @given(signed_graphs())
 def test_parse_serialize_roundtrip(g):
     assert sg.parse_edge_list(sg.serialize_edge_list(g)) == g
+
+
+# -- construction -------------------------------------------------------------
+
+@given(signed_graphs(), st.data())
+def test_graph_value_does_not_depend_on_edge_order(g, data):
+    shuffled = data.draw(st.permutations(g.edges))
+    flipped = [(v, u, s) for u, v, s in data.draw(st.permutations(g.edges))]
+    for h in (
+        sg.SignedGraph(g.n, tuple(shuffled)),
+        sg.SignedGraph(g.n, list(shuffled)),
+        sg.SignedGraph.from_edges(g.n, flipped),
+    ):
+        assert h == g and hash(h) == hash(g)
+        assert sg.serialize_edge_list(h) == sg.serialize_edge_list(g)
+        assert sg.parse_edge_list(sg.serialize_edge_list(h)) == h
+
+
+def test_adjacency_ascending_from_shuffled_edges():
+    rng = random.Random(11)
+    for _ in range(30):
+        g = random_connected_signed(rng, 2, 12)
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        h = sg.SignedGraph(g.n, tuple(edges))
+        assert h.edges == g.edges
+        for w, nbrs in enumerate(h.adjacency):
+            assert list(nbrs) == sorted((v if u == w else u, s) for u, v, s in edges if w in (u, v))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        pytest.param(lambda: sg.SignedGraph(0, ()), "vertex count must be >= 1, got 0", id="no-vertices"),
+        pytest.param(lambda: sg.SignedGraph(3, ((0, 1, 1), (1, 1, 1))), "self-loop at vertex 1", id="self-loop"),
+        pytest.param(lambda: sg.SignedGraph(3, ((2, 1, 1),)), "edge (2,1) out of range for n=3", id="reversed"),
+        pytest.param(lambda: sg.SignedGraph(3, ((0, 3, 1),)), "edge (0,3) out of range for n=3", id="past-n"),
+        pytest.param(lambda: sg.SignedGraph(3, ((0, 1, 0),)), "sign must be +1 or -1, got 0", id="sign-0"),
+        pytest.param(lambda: sg.SignedGraph(3, ((0, 1, 2),)), "sign must be +1 or -1, got 2", id="sign-2"),
+        pytest.param(
+            lambda: sg.SignedGraph(3, ((1, 2, 1), (0, 1, 1), (1, 2, -1))), "duplicate edge (1,2)", id="duplicate"
+        ),
+        pytest.param(
+            lambda: sg.SignedGraph.from_edges(3, [(0, 1, 1), (1, 0, -1)]), "duplicate edge (0,1)", id="dup-flipped"
+        ),
+        pytest.param(
+            lambda: sg.SignedGraph.from_edges(3, [(2, 1, 1), (1, 2, 1)]), "duplicate edge (1,2)", id="dup-flipped-first"
+        ),
+    ],
+)
+def test_constructor_rejections(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 # -- switching ----------------------------------------------------------------

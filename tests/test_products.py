@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sgdist as sg
-from sgdist import products
+from sgdist import distance, products
 from sgdist.distance import _opposite_paths, _signed_bitsets
 from conftest import nx_path_signs, random_balanced_connected, random_connected_signed, to_networkx
 
@@ -449,9 +449,14 @@ def test_opposite_paths_reject_corrupted_distances():
 def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
     # A negative bit on a pair whose shortest paths are all positive flags
     # the product as incompatible in the bitset pass, but the pair cannot
-    # be certified.
+    # be certified.  Only graphs above max_n vertices, so products alone,
+    # are corrupted: the factors still pass an honest is_compatible.
+    max_n = 6
+
     def corrupt(g):
         pos, neg, planes = _signed_bitsets(g)
+        if g.n <= max_n:
+            return pos, neg, planes
         u, v = next(
             (u, v) for u in range(g.n) for v in range(g.n)
             if u != v and pos[u] >> v & 1 and not neg[u] >> v & 1
@@ -460,9 +465,9 @@ def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
         neg[v] |= 1 << u
         return pos, neg, planes
 
-    monkeypatch.setattr(products, "_signed_bitsets", corrupt)
+    monkeypatch.setattr(distance, "_signed_bitsets", corrupt)
     with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\)"):
-        sg.conjecture_search(40, max_n=6, seed=123)
+        sg.conjecture_search(40, max_n=max_n, seed=123)
 
 
 def test_conjecture_search_misses_no_candidate():
