@@ -43,20 +43,16 @@ def _emit(args, payload: str) -> None:
 
 
 def _text_rows(mat: np.ndarray, sep: str) -> list[str]:
-    """The decimal text of each row of an integer matrix, entries joined by sep.
+    """The decimal text of each row of a distance matrix, entries joined by sep.
 
     Entries are written through a table holding the text of every value in
     [min, max], indexed by the matrix offset by min, so no Python int is made
-    per entry.  The table is used while it is shorter than two rows, as it
-    always is for a distance matrix (entries in [-(n-1), n-1]); a wider range
-    is written entry by entry.
+    per entry.  A distance matrix of order n has its entries in
+    [-(n-1), n-1], so the table is shorter than two rows.
     """
-    if mat.size:
-        lo, hi = int(mat.min()), int(mat.max())
-        if hi - lo < 2 * mat.shape[1]:
-            table = np.array([str(x) for x in range(lo, hi + 1)], dtype=object)
-            return [sep.join(row.tolist()) for row in table[mat - lo]]
-    return [sep.join(map(str, row)) for row in mat.tolist()]
+    lo, hi = int(mat.min()), int(mat.max())
+    table = np.array([str(x) for x in range(lo, hi + 1)], dtype=object)
+    return [sep.join(row.tolist()) for row in table[mat - lo]]
 
 
 def _matrix_payload(mat: np.ndarray, fmt: str) -> str:

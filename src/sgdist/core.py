@@ -68,7 +68,8 @@ class SignedGraph:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
             _check_sign(s)
-        edges = tuple(sorted(self.edges))
+        # Tuples, whatever sequences the triples came as: the graph hashes by value.
+        edges = tuple(map(tuple, sorted(self.edges)))
         for (u, v, _), (x, y, _) in pairwise(edges):
             if u == x and v == y:
                 raise ValueError(f"duplicate edge ({u},{v})")

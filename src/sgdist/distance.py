@@ -8,17 +8,16 @@ signs.  A graph is (distance-)compatible when sigma_max = sigma_min for
 every pair, i.e. the two distance matrices coincide.
 
 All-pairs results come from one BFS run from every source at once over
-bitsets of sources (`_signed_bitsets`), stored at one of two widths: a
-Python int per set while a set fits in one 64-bit machine word (n <= 64),
-and packed uint64 words beyond that, where each level is one numpy gather
-and reduction instead of a Python loop over every edge.  Within one
-word numpy's fixed cost per call outweighs the work, so small graphs keep
-the Python-int loop, and each width returns its own bitsets.
+bitsets of sources (`_signed_bitsets`), packed into uint64 words, where each
+level is one numpy gather and reduction over all edges.  The run takes a
+batch of graphs as one disjoint union, so the conjecture search decides a
+whole round of small graphs in one run, and a single graph is a batch of
+one.
 
-Compatibility is decided on those bitsets alone, at either width;
+Compatibility is decided on those bitsets alone (`_incompatible_flags`);
 `signed_distances` unpacks them into numpy arrays only for callers that read
 matrices or pairs (both matrices, the incompatible pairs, the associated
-complete graph, witnesses), packing the Python ints into one word row first.
+complete graph, witnesses).
 Witness paths and conjecture certificates are walked back through one row
 of those arrays and checked against an unsigned BFS.
 `signed_bfs` and `brute_force_summary` remain as reference routes for
@@ -30,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -143,170 +144,146 @@ class SignedDistances:
         return self.pos & self.neg
 
 
-# Bits in one machine word, and so in one uint64 word of the packed route.
+# Bits in one uint64 word of the packed bitsets.
 _WORD = 64
-# Bound on the words the packed route gathers per level (8 MiB): a dense
-# graph's half-edges times its source words would otherwise dwarf the result.
+# Bound on the words one level gathers (8 MiB): a dense graph's half-edges
+# times its source words would otherwise dwarf the result.
 _GATHER_WORDS = 1 << 20
 # One packed word: little-endian, so its bytes unpack in source order.
 _U64 = np.dtype("<u8")
 
-# The bitsets of `_signed_bitsets`: Python ints up to one word, else `(W, n)` words.
-_Bitsets = tuple[list[int], list[int], list[list[int]]] | tuple[np.ndarray, np.ndarray, list[np.ndarray]]
 
-
-def _signed_bitsets(g: SignedGraph) -> _Bitsets:
-    """The all-sources level loop behind `signed_distances`, as bitsets of sources.
+def _signed_bitsets(graphs: Sequence[SignedGraph]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The all-sources level loop over a batch of graphs, as bitsets of sources.
 
     Each vertex v carries bitsets over sources: bit s of `unseen[v]` is set
     while v is still unreached from s, and bit s of the frontier sets
     `fpos[v]` / `fneg[v]` is set when v was reached from s at the current
     level by a positive / negative shortest path.  One level ORs, for every
-    vertex not yet reached from all sources, its neighbours' frontier bits,
-    swapping the two signs across negative edges; the bits not seen before
-    form the vertex's next frontier.  Returns `(pos, neg, planes)`: bit s of
-    `pos[v]` / `neg[v]` says a positive / negative shortest s-v path exists,
-    and distances are bit-sliced, bit s of `planes[k][v]` being bit k of
-    d(s, v).  Distances are symmetric, so the bitset of v read as a row is
-    row v of each matrix.
+    vertex, its neighbours' frontier bits, swapping the two signs across
+    negative edges; the bits not seen before form the vertex's next
+    frontier.  Returns `(pos, neg, planes)`: bit s of `pos[v]` / `neg[v]`
+    says a positive / negative shortest s-v path exists, and distances are
+    bit-sliced, bit s of `planes[k][v]` being bit k of d(s, v).  Distances
+    are symmetric, so the bitset of v read as a row is row v of each matrix.
 
-    The loop runs at one of two storage widths, chosen by whether a source
-    set fits in one machine word (`g.n <= _WORD`):
-    - up to one word, `_int_bitsets` keeps each set as a Python int and
-      loops per vertex and neighbour; every OR is then one word wide, and
-      numpy's fixed cost per call would outweigh it on the small graphs
-      the conjecture search checks by the thousand;
-    - beyond one word, `_word_bitsets` keeps the sets as columns of
-      `(ceil(n / 64), n)` uint64 arrays and runs each level as one numpy
-      gather and reduction over all edges.
-    Each returns its own storage: Python ints from the first, and the
-    `(W, n)` arrays from the second, where word j of column v holds bits
-    64j..64j+63 of the int the first would return for v.  `_any_incompatible`
-    and `_assemble` read either.  The boundary is a property of the word
-    size, not a tuning knob, so it is a constant and not an option.
+    The batch is one disjoint union: vertex v of a graph is column
+    `offset + v`, after the columns of the graphs before it.  Each graph
+    numbers its own sources from bit 0, so the arrays are `(W, N)` uint64,
+    N the sum of the orders and W the words of the largest; bits past a
+    graph's order stay 0.  Components never exchange bits, so every graph
+    gets the bitsets it would get alone.
 
-    Raises ValueError on a disconnected graph.
+    The frontier is one `(W, 2N + 1)` array: positive columns, negative
+    columns and a column that stays 0.  A level is one gather of it along a
+    half-edge index grouped by vertex (a negative edge reads the opposite
+    half) and one `bitwise_or.reduceat` over each vertex's run.  `reduceat`
+    does not reduce an empty run to 0, so a vertex of degree 0 reads the
+    zero column.  Sources never mix, so the words run in blocks that keep
+    the gathered `(words, 4m)` array within `_GATHER_WORDS`; only a graph
+    over the bound on its own needs more than one (see `_batches`).
+
+    Raises ValueError when a graph of the batch is disconnected.
     """
-    return _int_bitsets(g) if g.n <= _WORD else _word_bitsets(g)
-
-
-def _int_bitsets(g: SignedGraph) -> tuple[list[int], list[int], list[list[int]]]:
-    """`_signed_bitsets` over one Python int per source set, at any order."""
-    n = g.n
-    adj = g.adjacency
-    full = (1 << n) - 1
-    unseen = [full ^ (1 << v) for v in range(n)]
-    fpos = [1 << v for v in range(n)]
-    fneg = [0] * n
-    pos = fpos[:]
-    neg = [0] * n
-    planes: list[list[int]] = []
-    active = [v for v in range(n) if unseen[v]]
-    level = 0
-    while active:
-        level += 1
-        if level == 1 << len(planes):
-            planes.append([0] * n)
-        level_planes = [p for k, p in enumerate(planes) if level >> k & 1]
-        npos = [0] * n
-        nneg = [0] * n
-        reached = False
-        for v in active:
-            ap = an = 0
-            for u, sgn in adj[v]:
-                if sgn > 0:
-                    ap |= fpos[u]
-                    an |= fneg[u]
-                else:
-                    ap |= fneg[u]
-                    an |= fpos[u]
-            new = (ap | an) & unseen[v]
-            if new:
-                reached = True
-                unseen[v] ^= new
-                npos[v] = p = ap & new
-                nneg[v] = q = an & new
-                pos[v] |= p
-                neg[v] |= q
-                for plane in level_planes:
-                    plane[v] |= new
-        if not reached:
-            raise ValueError(_DISCONNECTED)
-        fpos, fneg = npos, nneg
-        active = [v for v in active if unseen[v]]
-    return pos, neg, planes
-
-
-def _word_bitsets(g: SignedGraph) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """`_signed_bitsets` over packed uint64 words, at any order.
-
-    Arrays are `(W, n)`: word j of column v holds sources 64j..64j+63 of
-    vertex v.  The frontier is one stacked `(W, 2n)` array, the positive
-    columns then the negative ones, so a level is one gather of it along a
-    half-edge index in vertex order (a negative edge reads the opposite
-    half) and one `bitwise_or.reduceat` over each vertex's run of
-    half-edges, contiguous in memory.  The result is masked by `unseen`
-    exactly as in `_int_bitsets`, and the arrays are returned as they are;
-    bits past source n - 1 in the last word stay 0.  Sources never mix, so
-    the loop runs on blocks of words, each sized to keep the gathered
-    `(words, 4m)` array within `_GATHER_WORDS`; a sparse graph of a few
-    hundred vertices is one block.
-    A vertex of degree 0 would be an empty run, which `reduceat` does not
-    reduce to 0, so it is refused as disconnected before the loop.
-    """
-    n = g.n
-    adj = g.adjacency
-    if n > 1 and not all(adj):
-        raise ValueError(_DISCONNECTED)
-    w = -(-n // _WORD)
+    orders = [g.n for g in graphs]
+    total = sum(orders)
+    w = -(-max(orders) // _WORD)
+    sizes = [g.m for g in graphs]
+    edges = np.fromiter(
+        chain.from_iterable(chain.from_iterable(g.edges for g in graphs)), dtype=np.intp, count=3 * sum(sizes)
+    ).reshape(-1, 3)
+    offsets = np.cumsum([0] + orders[:-1])
+    # Row 0 holds the edges' u ends and row 1 their v ends, as batch columns:
+    # each end has a half-edge, which reads the other end of its edge.
+    ends = (edges[:, :2] + np.repeat(offsets, sizes)[:, None]).T
+    flip = (edges[:, 2] < 0) * total
+    runs = np.bincount(ends.ravel(), minlength=total)
+    lone = np.flatnonzero(runs == 0)
+    zero = np.full(len(lone), 2 * total)
     # Columns of the stacked frontier OR-ed into the positive, then the
     # negative, result column of each vertex.
-    src = np.array([u if sgn > 0 else u + n for nbrs in adj for u, sgn in nbrs], dtype=np.intp)
-    src = np.concatenate((src, (src + n) % (2 * n)))
-    starts = np.cumsum([0] + [len(nbrs) for nbrs in adj[:-1]])
-    starts = np.concatenate((starts, starts + len(src) // 2))
-    v = np.arange(n)
-    pos = np.zeros((w, n), dtype=_U64)
-    pos[v // _WORD, v] = np.uint64(1) << (v % _WORD).astype(_U64)
-    neg = np.zeros((w, n), dtype=_U64)
-    unseen = np.full((w, n), ~np.uint64(0), dtype=_U64)
-    unseen[-1] >>= np.uint64(w * _WORD - n)
+    order = np.argsort(np.concatenate((ends.ravel(), lone)), kind="stable")
+    src_pos = np.concatenate(((ends[::-1] + flip).ravel(), zero))[order]
+    src_neg = np.concatenate(((ends[::-1] + total - flip).ravel(), zero))[order]
+    src = np.concatenate((src_pos, src_neg))
+    runs[lone] = 1
+    starts = np.cumsum(runs) - runs
+    starts = np.concatenate((starts, starts + len(src_pos)))
+
+    cols = np.arange(total)
+    v = cols - np.repeat(offsets, orders)
+    pos = np.zeros((w, total), dtype=_U64)
+    pos[v // _WORD, cols] = np.uint64(1) << (v % _WORD).astype(_U64)
+    neg = np.zeros((w, total), dtype=_U64)
+    # The low `fill` bits of word j of a column: its graph's sources there.
+    fill = np.minimum(np.maximum(np.repeat(orders, orders) - _WORD * np.arange(w)[:, None], 0), _WORD).astype(_U64)
+    unseen = np.where(fill == _WORD, ~np.uint64(0), (np.uint64(1) << fill % np.uint64(_WORD)) - np.uint64(1))
     unseen ^= pos
     planes: list[np.ndarray] = []
-    step = max(1, _GATHER_WORDS // max(len(src), 1))
+    step = max(1, _GATHER_WORDS // len(src))
     for j in range(0, w, step):
         # Views of this block's words, updated in place.
         bpos, bneg, bunseen = pos[j : j + step], neg[j : j + step], unseen[j : j + step]
-        front = np.concatenate((bpos, bneg), axis=1)
+        front = np.zeros((len(bpos), 2 * total + 1), dtype=_U64)
+        fpos, fneg = front[:, :total], front[:, total:-1]
+        fpos[:] = bpos
         level = 0
         while bunseen.any():
             level += 1
             if level == 1 << len(planes):
-                planes.append(np.zeros((w, n), dtype=_U64))
-            front = np.bitwise_or.reduceat(front.take(src, axis=1), starts, axis=1)
-            new = (front[:, :n] | front[:, n:]) & bunseen
+                planes.append(np.zeros((w, total), dtype=_U64))
+            np.bitwise_or.reduceat(front.take(src, axis=1), starts, axis=1, out=front[:, :-1])
+            new = (fpos | fneg) & bunseen
             if not new.any():
                 raise ValueError(_DISCONNECTED)
             bunseen ^= new
-            front[:, :n] &= new
-            front[:, n:] &= new
-            bpos |= front[:, :n]
-            bneg |= front[:, n:]
+            fpos &= new
+            fneg &= new
+            bpos |= fpos
+            bneg |= fneg
             for k, plane in enumerate(planes):
                 if level >> k & 1:
                     plane[j : j + step] |= new
     return pos, neg, planes
 
 
-def _any_incompatible(pos: list[int] | np.ndarray, neg: list[int] | np.ndarray) -> bool:
-    """True iff some bit is set in both `pos` and `neg` from `_signed_bitsets`.
+def _batches(graphs: Sequence[SignedGraph]) -> Iterator[list[SignedGraph]]:
+    """Consecutive runs of graphs whose level gathers `_GATHER_WORDS` at most.
 
-    The Python ints of small graphs are tested with no numpy call: the
-    conjecture search asks this of thousands of small products.
+    A level gathers the batch's words times its half-edge reads, 4m per
+    graph, counted as 4m + 2 to cover the two reads of a K1's zero column.
     """
-    if isinstance(pos, np.ndarray):
-        return bool((pos & neg).any())
-    return any(p & q for p, q in zip(pos, neg))
+    batch: list[SignedGraph] = []
+    words = reads = 0
+    for g in graphs:
+        g_words, g_reads = -(-g.n // _WORD), 4 * g.m + 2
+        if batch and max(words, g_words) * (reads + g_reads) > _GATHER_WORDS:
+            yield batch
+            batch, words, reads = [], 0, 0
+        batch.append(g)
+        words, reads = max(words, g_words), reads + g_reads
+    if batch:
+        yield batch
+
+
+def _incompatible_flags(graphs: Sequence[SignedGraph]) -> list[bool]:
+    """Per graph, whether some pair has shortest paths of both signs.
+
+    Decided per batch of `_batches`, from its run of `_signed_bitsets`: a
+    graph is incompatible iff `pos & neg` is non-zero on one of its columns.
+    Raises ValueError when a graph is disconnected.
+    """
+    flags: list[bool] = []
+    for batch in _batches(graphs):
+        pos, neg, _ = _signed_bitsets(batch)
+        offsets = np.cumsum([0] + [g.n for g in batch[:-1]])
+        flags += np.logical_or.reduceat((pos & neg).any(axis=0), offsets).tolist()
+    return flags
+
+
+def _any_incompatible(pos: np.ndarray, neg: np.ndarray) -> bool:
+    """True iff some bit is set in both `pos` and `neg` from `_signed_bitsets`."""
+    return bool((pos & neg).any())
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
@@ -314,17 +291,12 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), axis=1, count=n, bitorder="little")
 
 
-def _assemble(
-    n: int, pos: list[int] | np.ndarray, neg: list[int] | np.ndarray, planes: list
-) -> SignedDistances:
-    """The read-only `SignedDistances` arrays of the bitsets from `_signed_bitsets`.
+def _assemble(n: int, pos: np.ndarray, neg: np.ndarray, planes: list[np.ndarray]) -> SignedDistances:
+    """The read-only `SignedDistances` arrays of one graph's bitsets from `_signed_bitsets`.
 
-    Python ints are first packed into one word row, so both widths unpack
-    the same way: one `np.unpackbits` per array, and one shift-OR per
-    distance plane into `dist`.
+    One `np.unpackbits` per array, and one shift-OR per distance plane into
+    `dist`.
     """
-    if not isinstance(pos, np.ndarray):
-        pos, neg, *planes = (np.array([x], dtype=_U64) for x in (pos, neg, *planes))
     dist = np.zeros((n, n), dtype=np.int32)
     for k, plane in enumerate(planes):
         dist |= np.left_shift(_unpack(plane, n), k, dtype=np.int32)
@@ -340,7 +312,7 @@ def signed_distances(g: SignedGraph) -> SignedDistances:
     The level loop is `_signed_bitsets`; its bitsets are unpacked into the
     `dist`, `pos` and `neg` arrays.  Raises ValueError on a disconnected graph.
     """
-    return _assemble(g.n, *_signed_bitsets(g))
+    return _assemble(g.n, *_signed_bitsets([g]))
 
 
 def _check_which(which: str) -> str:
@@ -381,8 +353,7 @@ def is_compatible(g: SignedGraph) -> bool:
     built: a pair is incompatible iff its bit is set in both `pos` and `neg`.
     Raises ValueError on a disconnected graph.
     """
-    pos, neg, _ = _signed_bitsets(g)
-    return not _any_incompatible(pos, neg)
+    return not _incompatible_flags([g])[0]
 
 
 @dataclass(frozen=True)
@@ -450,11 +421,10 @@ def _certified_incompatible_pairs(g: SignedGraph) -> list[tuple[int, int]]:
     """`incompatible_pairs` of g, each certified by `_opposite_paths`.
 
     A compatible g is answered from the bitsets alone, with no distance
-    array built: the conjecture search asks this of thousands of products,
-    few of them incompatible.  Raises RuntimeError naming a pair that
-    fails its certificate.
+    array built.  Raises RuntimeError naming a pair that fails its
+    certificate.
     """
-    pos, neg, planes = _signed_bitsets(g)
+    pos, neg, planes = _signed_bitsets([g])
     if not _any_incompatible(pos, neg):
         return []
     sd = _assemble(g.n, pos, neg, planes)

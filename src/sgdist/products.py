@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .core import SignedGraph, _bfs_dist, _check_vertex, has_odd_cycle, is_connected
-from .distance import _certified_incompatible_pairs, is_compatible
+from .distance import _certified_incompatible_pairs, _incompatible_flags, is_compatible
 
 __all__ = [
     "pair_index",
@@ -228,27 +228,49 @@ def random_signed_gnp(n: int, p: float, rng: random.Random) -> SignedGraph:
 
 # Draws per factor before a conjecture-search trial is skipped.
 _ATTEMPTS = 300
+# Trials the conjecture search samples and checks together: a batch of the
+# all-sources pass holds at most this many graphs, and memory is bounded by
+# the window, not by the number of trials.
+_WINDOW = 64
 
 
-def _random_connected_compatible(rng: random.Random, max_n: int) -> SignedGraph | None:
-    """Rejection-sample a connected compatible signed graph of order 2..max_n.
-
-    Half the draws reuse a balanced signing (vertex potential), which is
-    always compatible, so the accepted pool is not dominated by tiny or
-    nearly all-positive graphs.
+def _draw_factor(rng: random.Random, max_n: int) -> SignedGraph | None:
+    """One draw of the factor sampler: a signed G(n, p), n in 2..max_n, or
+    None when it is disconnected.  Half the connected draws are switched to
+    a balanced signing (vertex potential), which is always compatible, so
+    the accepted pool is not dominated by tiny or nearly all-positive graphs.
     """
+    n = rng.randint(2, max_n)
+    p = rng.uniform(0.35, 0.9)
+    g = random_signed_gnp(n, p, rng)
+    if not is_connected(g):
+        return None
+    if rng.random() < 0.5:
+        zeta = [rng.choice((1, -1)) for _ in range(n)]
+        g = g.with_signs([zeta[u] * zeta[v] for u, v, _ in g.edges])
+    return g
+
+
+def _sample_factors(rngs: list[random.Random], max_n: int) -> list[SignedGraph | None]:
+    """Rejection-sample a connected compatible signed graph from each stream.
+
+    The streams draw in lockstep rounds: in each round every stream still
+    without a factor makes one `_draw_factor`, and the round's connected
+    draws are checked by one `_incompatible_flags` batch.  A stream is
+    consumed exactly as if it drew alone.  None for a stream with no
+    compatible draw in `_ATTEMPTS` rounds.
+    """
+    out: list[SignedGraph | None] = [None] * len(rngs)
+    pending = range(len(rngs))
     for _ in range(_ATTEMPTS):
-        n = rng.randint(2, max_n)
-        p = rng.uniform(0.35, 0.9)
-        g = random_signed_gnp(n, p, rng)
-        if not is_connected(g):
-            continue
-        if rng.random() < 0.5:
-            zeta = [rng.choice((1, -1)) for _ in range(n)]
-            g = g.with_signs([zeta[u] * zeta[v] for u, v, _ in g.edges])
-        if is_compatible(g):
-            return g
-    return None
+        drawn = [(i, g) for i in pending if (g := _draw_factor(rngs[i], max_n)) is not None]
+        for (i, g), bad in zip(drawn, _incompatible_flags([g for _, g in drawn])):
+            if not bad:
+                out[i] = g
+        pending = [i for i in pending if out[i] is None]
+        if not pending:
+            break
+    return out
 
 
 @dataclass(frozen=True)
@@ -279,27 +301,35 @@ def conjecture_search(
     the second factor that its compatibility does not constrain).  Each
     reported pair is certified by two opposite-sign shortest paths checked
     against an unsigned BFS; a failed certificate raises RuntimeError
-    naming the pair.  Each product is decided on the bitsets of the
-    all-sources pass; distance arrays, sorted pairs and certificates are
-    built only for a product that has an incompatible pair.  Deterministic
-    for a fixed seed: trial t uses its own RNG stream seeded by (seed, t),
-    so results do not depend on scheduling.  Raises ValueError when trials
-    is negative or max_n is below 2, the smallest factor order.
+    naming the pair.  Trials run in windows of `_WINDOW`: the window's
+    factors are drawn in lockstep rounds (`_sample_factors`), and its
+    products are decided in one batch on the bitsets of the all-sources
+    pass; distance arrays, sorted pairs and certificates are built only for
+    a product that has an incompatible pair.  Deterministic for a fixed
+    seed: trial t uses its own RNG stream seeded by (seed, t), consumed as
+    if the trial ran alone, so results do not depend on the windows.
+    Raises ValueError when trials is negative or max_n is below 2, the
+    smallest factor order.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
     out = []
-    for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
-        g1 = _random_connected_compatible(rng, max_n)
-        g2 = _random_connected_compatible(rng, max_n)
-        if g1 is None or g2 is None:
-            continue
-        if not (has_odd_cycle(g1) or has_odd_cycle(g2)):
-            continue
-        bad = _certified_incompatible_pairs(tensor(g1, g2))
-        if bad:
-            out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(bad)))
+    for start in range(0, trials, _WINDOW):
+        window = range(start, min(start + _WINDOW, trials))
+        rngs = [random.Random(f"{seed}:{t}") for t in window]
+        first = _sample_factors(rngs, max_n)
+        second = _sample_factors(rngs, max_n)
+        pairs = [
+            (t, g1, g2)
+            for t, g1, g2 in zip(window, first, second)
+            if g1 is not None and g2 is not None and (has_odd_cycle(g1) or has_odd_cycle(g2))
+        ]
+        prods = [tensor(g1, g2) for _, g1, g2 in pairs]
+        for (t, g1, g2), prod, bad in zip(pairs, prods, _incompatible_flags(prods)):
+            if bad:
+                out.append(
+                    ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(_certified_incompatible_pairs(prod)))
+                )
     return out

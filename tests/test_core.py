@@ -417,3 +417,11 @@ C5 = sg.cycle_graph(5, [1, -1, 1, 1, 1])
 def test_vertex_out_of_range_rejected(call, bad):
     with pytest.raises(ValueError, match=f"vertex {bad} out of range for n=5"):
         call(bad)
+
+
+def test_list_edges_build_the_same_graph_as_tuples():
+    listed = sg.SignedGraph(3, [[1, 2, 1], [0, 1, -1]])
+    tupled = sg.SignedGraph(3, ((0, 1, -1), (1, 2, 1)))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed.edges == ((0, 1, -1), (1, 2, 1))
+    assert sg.serialize_edge_list(listed) == sg.serialize_edge_list(tupled)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import sgdist as sg
 from sgdist import distance
-from sgdist.distance import _int_bitsets, _word_bitsets
+from sgdist.distance import _incompatible_flags, _signed_bitsets
 from conftest import (
     check_witness,
     nx_path_signs,
@@ -205,7 +206,7 @@ def test_signed_distances_orders_around_byte_and_word_edges(n):
 def test_signed_distances_long_path_past_one_byte_of_planes():
     # P_300 has diameter 299: nine distance planes, one more than a byte holds.
     g = sg.path_graph(300, [(-1) ** (i // 3) for i in range(299)])
-    assert len(_word_bitsets(g)[2]) == 9
+    assert len(_signed_bitsets([g])[2]) == 9
     sd = assert_matches_bfs_rows(g)
     assert sd.dist.max() == 299
 
@@ -245,14 +246,14 @@ def test_matrices_and_pairs_match_bfs_reference_on_gnp60():
     assert all(type(x) is int for p in got for x in p)
 
 
-# -- the two storage widths of the all-sources pass -------------------------
+# -- the packed all-sources pass against the reference routes ---------------
 
 DISCONNECTED = re.escape("graph is disconnected; signed distances are undefined")
 
 
 def word_ints(bits):
-    """`_word_bitsets` arrays as `_int_bitsets` returns them: every word column
-    read back as one Python int, after checking the arrays' dtype and shape."""
+    """`_signed_bitsets` arrays of one graph as Python ints: every word column
+    read back as one int, after checking the arrays' dtype and shape."""
     pos, neg, planes = bits
     assert all(a.dtype == np.dtype("<u8") and a.shape == pos.shape for a in (pos, neg, *planes))
 
@@ -262,30 +263,42 @@ def word_ints(bits):
     return columns(pos), columns(neg), [columns(p) for p in planes]
 
 
+def row_ints(rows):
+    """Each row of a 0/1 matrix as the int whose bit s is entry s."""
+    return [sum(1 << s for s in np.flatnonzero(row).tolist()) for row in rows]
+
+
 def assert_routes_agree(g):
-    """Both level loops give the same bitsets bit for bit, or the same error;
-    returns them as Python ints."""
-    try:
-        want = _int_bitsets(g)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            _word_bitsets(g)
+    """The packed pass of g alone against the reference routes: its bitsets
+    are the `signed_bfs` rows bit for bit, and for n <= 12 each pair matches
+    `brute_force_summary`; a graph the references find disconnected is
+    refused with the exact message.  Returns the bitsets as Python ints."""
+    if None in sg.signed_bfs(g, 0):
+        with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
+            _signed_bitsets([g])
         return None
-    words = _word_bitsets(g)
-    assert words[0].shape == (-(-g.n // 64), g.n)
-    got = word_ints(words)
-    assert got == want
-    assert all(type(x) is int for rows in (want[0], want[1], *want[2]) for x in rows)
-    assert distance._any_incompatible(*words[:2]) == distance._any_incompatible(*want[:2])
+    bits = _signed_bitsets([g])
+    assert bits[0].shape == (-(-g.n // 64), g.n)
+    got = word_ints(bits)
+    dist, pos, neg = bfs_rows(g)
+    planes = [row_ints(dist >> k & 1) for k in range(int(dist.max()).bit_length())]
+    assert got == (row_ints(pos), row_ints(neg), planes)
+    if g.n <= 12:
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                summ = sg.brute_force_summary(g, u, v)
+                bit = (got[0][u] >> v & 1, got[1][u] >> v & 1)
+                assert bit == (summ.sigma_max == 1, summ.sigma_min == -1)
+                assert sum((p[u] >> v & 1) << k for k, p in enumerate(got[2])) == summ.d
     return got
 
 
 @st.composite
-def wide_connected_signed_graphs(draw):
-    """Connected signed graphs above one word: a random spanning tree whose
-    parents lie within `span` of each vertex (span 1 is a path, so the
-    diameter ranges up to n - 1), plus a few random extra edges."""
-    n = draw(st.integers(min_value=65, max_value=160))
+def wide_connected_signed_graphs(draw, min_n: int = 65, max_n: int = 160):
+    """Connected signed graphs, by default above one word: a random spanning
+    tree whose parents lie within `span` of each vertex (span 1 is a path, so
+    the diameter ranges up to n - 1), plus a few random extra edges."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     span = draw(st.sampled_from((1, 2, 4, n)))
     sign = st.sampled_from((1, -1))
     edges = {}
@@ -344,33 +357,30 @@ def test_routes_agree_when_the_words_run_in_blocks(monkeypatch):
         sg.random_signed_gnp(200, 0.5, rng),
     ]
     disconnected = sg.SignedGraph.from_edges(150, [(v, v + 1, 1) for v in range(149) if v != 127])
-    want = [_int_bitsets(g) for g in connected]
+    want = [word_ints(_signed_bitsets([g])) for g in connected]
     monkeypatch.setattr(distance, "_GATHER_WORDS", 1)
-    assert [word_ints(_word_bitsets(g)) for g in connected] == want
+    assert [word_ints(_signed_bitsets([g])) for g in connected] == want
     with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
-        _word_bitsets(disconnected)
+        _signed_bitsets([disconnected])
 
 
 def test_any_incompatible_reads_every_word():
-    # Source 129 sits in the third word; one shared bit there decides, as
-    # bit 129 of one Python int does.
+    # Source 129 sits in the third word; one shared bit there decides.
     pos = np.zeros((3, 130), dtype="<u8")
     neg = pos.copy()
     pos[2, 7] = neg[2, 7] = 1 << 1
     assert distance._any_incompatible(pos, neg)
     assert not distance._any_incompatible(pos, neg ^ pos)
-    assert distance._any_incompatible([0, 1 << 129], [1, 1 << 129])
-    assert not distance._any_incompatible([1 << 129, 1], [1 << 128, 0])
 
 
-def test_route_follows_the_word_size(monkeypatch):
-    calls = []
-    for name in ("_int_bitsets", "_word_bitsets"):
-        route = getattr(distance, name)
-        monkeypatch.setattr(distance, name, lambda g, name=name, route=route: calls.append(name) or route(g))
-    for n in (3, 64, 65, 200):
-        sg.is_compatible(sg.cycle_graph(n, [1] * n))
-    assert calls == ["_int_bitsets", "_int_bitsets", "_word_bitsets", "_word_bitsets"]
+# The routes that run the all-sources pass, each of which must refuse a
+# disconnected graph.
+PASS_ROUTES = (
+    lambda g: _signed_bitsets([g]),
+    lambda g: _incompatible_flags([g]),
+    sg.signed_distances,
+    sg.is_compatible,
+)
 
 
 @pytest.mark.parametrize("n", [65, 128, 129])
@@ -379,7 +389,7 @@ def test_isolated_vertex_is_disconnected_on_both_routes(n, where):
     lone = {"first": 0, "middle": n // 2, "last": n - 1}[where]
     rest = [v for v in range(n) if v != lone]
     g = sg.SignedGraph.from_edges(n, [(a, b, (-1) ** a) for a, b in zip(rest, rest[1:])])
-    for route in (_int_bitsets, _word_bitsets, sg.signed_distances, sg.is_compatible):
+    for route in PASS_ROUTES:
         with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
             route(g)
 
@@ -391,9 +401,60 @@ def test_routes_agree_on_a_component_in_a_later_word(n, cut):
     edges = [(v, v + 1, -1) for v in range(cut - 1)]
     edges += [(v, v + 1, 1) for v in range(cut, n - 1)] + [(cut, n - 1, -1)]
     g = sg.SignedGraph.from_edges(n, edges)
-    for route in (_int_bitsets, _word_bitsets, sg.signed_distances):
+    for route in PASS_ROUTES:
         with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
             route(g)
+
+
+# -- batches of graphs in one pass ------------------------------------------
+
+K1 = sg.SignedGraph(1, ())
+C70 = sg.cycle_graph(70, [-1 if v % 9 == 0 else 1 for v in range(70)])
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [list(p) for p in itertools.permutations([K1, sg.complete_graph(2, -1), C4_ONE_NEG, C70])]
+    + [[K1], [K1, K1], [K1, C70, K1], [C70, K1, K1, C4_ONE_NEG, K1]],
+)
+def test_batch_with_k1_anywhere_matches_each_graph_alone(batch):
+    # K1's vertex has no half-edges: it must read nothing, wherever it sits.
+    assert _incompatible_flags(batch) == [not sg.is_compatible(g) for g in batch]
+    pos, neg, planes = _signed_bitsets(batch)
+    offset = 0
+    for g in batch:
+        alone = _signed_bitsets([g])
+        for a, b in zip((pos, neg, *planes), (*alone[:2], *alone[2])):
+            assert np.array_equal(a[: b.shape[0], offset : offset + g.n], b)
+            assert not a[b.shape[0] :, offset : offset + g.n].any()
+        offset += g.n
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(wide_connected_signed_graphs(2, 70), min_size=1, max_size=8))
+def test_incompatible_flags_match_each_graph_alone(graphs):
+    assert _incompatible_flags(graphs) == [not sg.is_compatible(g) for g in graphs]
+
+
+@pytest.mark.parametrize("bound", [1, 64, 300])
+def test_incompatible_flags_in_cut_batches(monkeypatch, bound):
+    # A small gather bound cuts the batch into several, down to one graph
+    # per batch in several word blocks; the flags must not change.
+    rng = random.Random(bound)
+    graphs = [C70, K1, C4_ONE_NEG, sg.cycle_graph(130, [1] * 129 + [-1])]
+    graphs += [sg.tensor(random_connected_signed(rng, 2, 6), sg.complete_graph(3, -1)) for _ in range(12)]
+    want = _incompatible_flags(graphs)
+    assert any(want) and not all(want)
+    monkeypatch.setattr(distance, "_GATHER_WORDS", bound)
+    assert list(distance._batches(graphs)) != [graphs]
+    assert _incompatible_flags(graphs) == want
+
+
+def test_batch_with_a_disconnected_graph_is_refused():
+    split = sg.SignedGraph.from_edges(6, [(0, 1, 1), (1, 2, -1), (3, 4, 1), (4, 5, 1)])
+    for batch in ([split], [C4_ONE_NEG, split, K1], [K1, C70, split]):
+        with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
+            _incompatible_flags(batch)
 
 
 # -- distance matrices --------------------------------------------------------

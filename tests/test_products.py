@@ -450,19 +450,22 @@ def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
     # A negative bit on a pair whose shortest paths are all positive flags
     # the product as incompatible in the bitset pass, but the pair cannot
     # be certified.  Only graphs above max_n vertices, so products alone,
-    # are corrupted: the factors still pass an honest is_compatible.
+    # are corrupted: the factors still pass an honest is_compatible.  A
+    # product has at most 36 vertices, so its sources fit in word 0.
     max_n = 6
 
-    def corrupt(g):
-        pos, neg, planes = _signed_bitsets(g)
-        if g.n <= max_n:
-            return pos, neg, planes
-        u, v = next(
-            (u, v) for u in range(g.n) for v in range(g.n)
-            if u != v and pos[u] >> v & 1 and not neg[u] >> v & 1
-        )
-        neg[u] |= 1 << v
-        neg[v] |= 1 << u
+    def corrupt(graphs):
+        pos, neg, planes = _signed_bitsets(graphs)
+        offset = 0
+        for g in graphs:
+            if g.n > max_n:
+                u, v = next(
+                    (u, v) for u in range(g.n) for v in range(g.n)
+                    if u != v and pos[0, offset + u] >> v & 1 and not neg[0, offset + u] >> v & 1
+                )
+                neg[0, offset + u] |= np.uint64(1 << v)
+                neg[0, offset + v] |= np.uint64(1 << u)
+            offset += g.n
         return pos, neg, planes
 
     monkeypatch.setattr(distance, "_signed_bitsets", corrupt)
@@ -472,14 +475,17 @@ def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
 
 def test_conjecture_search_misses_no_candidate():
     # Certificates reject false positives; this replays every trial's RNG
-    # stream and checks the bitset skip drops no incompatible product.
+    # stream alone, as a batch of one, and checks that the lockstep windows
+    # draw the same factors and that the bitset skip drops no incompatible
+    # product.  300 trials span several windows.
     trials, max_n, seed = 300, 7, 1
+    assert trials > 3 * products._WINDOW
     found = {c.trial: c for c in sg.conjecture_search(trials, max_n=max_n, seed=seed)}
     products_built = 0
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
-        g1 = products._random_connected_compatible(rng, max_n)
-        g2 = products._random_connected_compatible(rng, max_n)
+        [g1] = products._sample_factors([rng], max_n)
+        [g2] = products._sample_factors([rng], max_n)
         if g1 is None or g2 is None or not (sg.has_odd_cycle(g1) or sg.has_odd_cycle(g2)):
             assert t not in found
             continue
