@@ -11,9 +11,9 @@ characteristic polynomial of D recovers exactly six classes, one per
 switching isomorphism type of minimal signed Petersen graph.  The census
 computes one polynomial per switching class (64 of them, told apart by the
 signs of the 6 fundamental cycles of a spanning tree) and takes class sizes
-and representatives from array reductions over all codes.  Each matrix
-comes from the all-sources signed pass (`compatible_distance_matrix`), so
-compatibility is checked on every signing the census builds, not assumed.
+and representatives from array reductions over all codes.  The matrices
+come from one all-sources signed pass over every signing the census builds,
+which checks each for compatibility rather than assuming it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import SignedGraph, _SIGN_TOKENS, _check_sign
-from .spectra import IntPolynomial, char_poly_batch, compatible_distance_matrix
+from .distance import _assemble, _signed_bitsets
+from .spectra import IntPolynomial, _compatible_matrix, char_poly_batch
 
 __all__ = [
     "path_graph",
@@ -235,6 +236,17 @@ def _representative_keys(codes: np.ndarray) -> np.ndarray:
     return (bits.sum(axis=1) << 15) | ((1 << 15) - 1 - reversed_code)
 
 
+def _distance_matrices(codes: list[int]) -> np.ndarray:
+    """The stacked distance matrices D of the signings with these codes.
+
+    All come from one run of the all-sources pass over the batch of
+    signings, each sliced out of it by `_assemble`; ValueError if one is
+    incompatible.
+    """
+    bits = _signed_bitsets([_signing(c) for c in codes])
+    return np.stack([_compatible_matrix(_assemble(bits, 10 * i, 10)) for i in range(len(codes))])
+
+
 def enumerate_petersen_signings() -> PetersenClassTable:
     """Census of all 2^15 Petersen signings by distance characteristic
     polynomial.
@@ -246,15 +258,17 @@ def enumerate_petersen_signings() -> PetersenClassTable:
 
     Switching conjugates D by a diagonal +-1 matrix and so keeps its
     characteristic polynomial: one polynomial per switching class (64
-    classes of 512 signings) covers every code.  Each matrix comes from the
-    all-sources signed pass, which raises ValueError if a signing is
-    incompatible.
+    classes of 512 signings) covers every code.  The matrices come from one
+    all-sources signed pass over the 64 class signings and 3 anchors, and
+    ValueError is raised if a signing is incompatible.
     """
     total = 1 << 15
     codes = np.arange(total, dtype=np.int64)
     class_ids = _switching_classes(codes)
     ids, first = np.unique(class_ids, return_index=True)
-    polys = char_poly_batch(np.stack([compatible_distance_matrix(_signing(c)) for c in codes[first].tolist()]))
+    # The class matrices, then the three anchors' (see below), from one pass.
+    mats = _distance_matrices(codes[first].tolist() + [0, 1, total - 1])
+    polys = char_poly_batch(mats[:-3])
 
     expected = {poly: label for label, poly in PETERSEN_CLASS_POLYNOMIALS.items()}
     distinct = {p.coeffs for p in polys}
@@ -265,7 +279,7 @@ def enumerate_petersen_signings() -> PetersenClassTable:
         )
     # Anchor signings pin three labels independently of the polynomial table:
     # all-positive is +P, a single negative edge lands in P1, all-negative in P3,3.
-    anchor_polys = char_poly_batch(np.stack([compatible_distance_matrix(_signing(c)) for c in (0, 1, total - 1)]))
+    anchor_polys = char_poly_batch(mats[-3:])
     for poly, label in zip(anchor_polys, ("+P", "P1", "P3,3")):
         if poly.coeffs != PETERSEN_CLASS_POLYNOMIALS[label]:
             raise RuntimeError(f"anchor signing for {label} has an unexpected polynomial")

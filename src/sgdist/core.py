@@ -12,6 +12,7 @@ iff the graph is balanced (or, with every edge read as negative, bipartite).
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,6 +46,20 @@ def _check_sign(s: int) -> int:
     return int(s)
 
 
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
+
+
+def _check_ends(u, v) -> tuple[int, int]:
+    """The ends of edge (u, v) as ints; ValueError naming the edge unless both
+    are integers (Python or numpy)."""
+    try:
+        return operator.index(u), operator.index(v)
+    except TypeError:
+        raise ValueError(f"edge ({u},{v}) has a non-integer vertex") from None
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Immutable simple undirected graph with +1/-1 edge signs.
@@ -59,10 +74,10 @@ class SignedGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        _check_order(self.n)
         # Checked before sorting: sorting a malformed triple raises TypeError.
         for u, v, s in self.edges:
+            _check_ends(u, v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
@@ -76,9 +91,26 @@ class SignedGraph:
         object.__setattr__(self, "edges", edges)
 
     @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, int, int], ...]) -> "SignedGraph":
+        """A graph from edges already valid and sorted, built without the checks.
+
+        For generators whose edges hold the invariants of `__post_init__` by
+        construction: n >= 1, int triples u < v < n with sign +1 or -1,
+        sorted and without duplicates.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "SignedGraph":
         """Build a graph, orienting each (u, v, s) so that u < v."""
-        return cls(n, tuple((int(min(u, v)), int(max(u, v)), int(s)) for u, v, s in edges))
+        oriented = []
+        for u, v, s in edges:
+            u, v = _check_ends(u, v)
+            oriented.append((min(u, v), max(u, v), int(s)))
+        return cls(n, tuple(oriented))
 
     @property
     def m(self) -> int:
@@ -121,7 +153,7 @@ class SignedGraph:
         """Same underlying graph with a new sign per edge, in `self.edges` order."""
         if len(signs) != self.m:
             raise ValueError(f"expected {self.m} signs, got {len(signs)}")
-        return SignedGraph(
+        return SignedGraph._trusted(
             self.n,
             tuple((u, v, _check_sign(s)) for (u, v, _), s in zip(self.edges, signs)),
         )
@@ -189,7 +221,9 @@ def parse_edge_list(text: str) -> SignedGraph:
         raise EdgeListError(1, "empty input, expected header 'n m'")
     if len(edges) != m:
         raise EdgeListError(1, f"header declares {m} edges, found {len(edges)}")
-    return SignedGraph(n, tuple(edges))
+    # Every edge was checked above as it was read: int ends u < v < n, a
+    # valid sign, no duplicate.  Sorting is all the constructor would add.
+    return SignedGraph._trusted(n, tuple(sorted(edges)))
 
 
 def serialize_edge_list(g: SignedGraph) -> str:

@@ -8,18 +8,23 @@ signs.  A graph is (distance-)compatible when sigma_max = sigma_min for
 every pair, i.e. the two distance matrices coincide.
 
 All-pairs results come from one BFS run from every source at once over
-bitsets of sources (`_signed_bitsets`), packed into uint64 words, where each
+bitsets of sources (`_edge_bitsets`), packed into uint64 words, where each
 level is one numpy gather and reduction over all edges.  The run takes a
-batch of graphs as one disjoint union, so the conjecture search decides a
-whole round of small graphs in one run, and a single graph is a batch of
-one.
+batch of graphs as one disjoint union, given as orders, edge counts and one
+`(u, v, sign)` edge array, so the conjecture search decides a whole round
+of small graphs, or a window's tensor products built as arrays, in one run;
+`_signed_bitsets` reads a list of graphs into that array, and a single
+graph is a batch of one.  `_batches` cuts graph lists and array products
+alike by the same bound on the gathered words.
 
-Compatibility is decided on those bitsets alone (`_incompatible_flags`);
-`signed_distances` unpacks them into numpy arrays only for callers that read
-matrices or pairs (both matrices, the incompatible pairs, the associated
-complete graph, witnesses).
-Witness paths and conjecture certificates are walked back through one row
-of those arrays and checked against an unsigned BFS.
+Compatibility is decided on those bitsets alone (`_flags`,
+`_incompatible_flags`); `_assemble` unpacks one graph's slice of them into
+numpy arrays only for callers that read matrices or pairs (both matrices,
+the incompatible pairs, the associated complete graph, witnesses, the
+conjecture certificates and the Petersen census).
+Witness paths and conjecture certificates are walked back through rows of
+those arrays; all the paths of a graph are then checked in one numpy step
+against its sorted edges and against an unsigned BFS per source.
 `signed_bfs` and `brute_force_summary` remain as reference routes for
 tests and demos; both take their hop distances from `core._bfs_dist`, so
 this module runs no BFS loop of its own besides the all-sources pass.
@@ -27,7 +32,6 @@ this module runs no BFS loop of its own besides the all-sources pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
@@ -153,8 +157,27 @@ _GATHER_WORDS = 1 << 20
 _U64 = np.dtype("<u8")
 
 
-def _signed_bitsets(graphs: Sequence[SignedGraph]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+# `(pos, neg, planes)` of one run of the all-sources pass: see `_edge_bitsets`.
+_Bitsets = tuple[np.ndarray, np.ndarray, list[np.ndarray]]
+
+
+def _edge_rows(graphs: Sequence[SignedGraph]) -> np.ndarray:
+    """The `(u, v, sign)` rows of the graphs' edges, graph after graph, as one intp array."""
+    count = 3 * sum(g.m for g in graphs)
+    return np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)), np.intp, count).reshape(-1, 3)
+
+
+def _signed_bitsets(graphs: Sequence[SignedGraph]) -> _Bitsets:
+    """`_edge_bitsets` of a batch of graphs, their edges read into one array."""
+    return _edge_bitsets([g.n for g in graphs], _edge_rows(graphs), [g.m for g in graphs])
+
+
+def _edge_bitsets(orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]) -> _Bitsets:
     """The all-sources level loop over a batch of graphs, as bitsets of sources.
+
+    Graph i of the batch has `orders[i]` vertices and the next `sizes[i]`
+    rows of `edges`, each a `(u, v, sign)` row with u, v its own vertex
+    numbers; the rows of a graph may come in any order.
 
     Each vertex v carries bitsets over sources: bit s of `unseen[v]` is set
     while v is still unreached from s, and bit s of the frontier sets
@@ -185,14 +208,9 @@ def _signed_bitsets(graphs: Sequence[SignedGraph]) -> tuple[np.ndarray, np.ndarr
 
     Raises ValueError when a graph of the batch is disconnected.
     """
-    orders = [g.n for g in graphs]
     total = sum(orders)
     w = -(-max(orders) // _WORD)
-    sizes = [g.m for g in graphs]
-    edges = np.fromiter(
-        chain.from_iterable(chain.from_iterable(g.edges for g in graphs)), dtype=np.intp, count=3 * sum(sizes)
-    ).reshape(-1, 3)
-    offsets = np.cumsum([0] + orders[:-1])
+    offsets = np.cumsum(orders) - orders
     # Row 0 holds the edges' u ends and row 1 their v ends, as batch columns:
     # each end has a half-edge, which reads the other end of its edge.
     ends = (edges[:, :2] + np.repeat(offsets, sizes)[:, None]).T
@@ -247,43 +265,42 @@ def _signed_bitsets(graphs: Sequence[SignedGraph]) -> tuple[np.ndarray, np.ndarr
     return pos, neg, planes
 
 
-def _batches(graphs: Sequence[SignedGraph]) -> Iterator[list[SignedGraph]]:
+def _batches(orders: Sequence[int], sizes: Sequence[int]) -> Iterator[slice]:
     """Consecutive runs of graphs whose level gathers `_GATHER_WORDS` at most.
 
-    A level gathers the batch's words times its half-edge reads, 4m per
-    graph, counted as 4m + 2 to cover the two reads of a K1's zero column.
+    Graph i has `orders[i]` vertices and `sizes[i]` edges; each run is
+    yielded as the slice of its graphs.  A level gathers the batch's words
+    times its half-edge reads, 4m per graph, counted as 4m + 2 to cover the
+    two reads of a K1's zero column.
     """
-    batch: list[SignedGraph] = []
-    words = reads = 0
-    for g in graphs:
-        g_words, g_reads = -(-g.n // _WORD), 4 * g.m + 2
-        if batch and max(words, g_words) * (reads + g_reads) > _GATHER_WORDS:
-            yield batch
-            batch, words, reads = [], 0, 0
-        batch.append(g)
+    start = words = reads = 0
+    for i, (n, m) in enumerate(zip(orders, sizes)):
+        g_words, g_reads = -(-n // _WORD), 4 * m + 2
+        if i > start and max(words, g_words) * (reads + g_reads) > _GATHER_WORDS:
+            yield slice(start, i)
+            start, words, reads = i, 0, 0
         words, reads = max(words, g_words), reads + g_reads
-    if batch:
-        yield batch
+    if start < len(orders):
+        yield slice(start, len(orders))
+
+
+def _flags(bits: _Bitsets, orders: Sequence[int]) -> list[bool]:
+    """Per graph of a batch, whether `pos & neg` is non-zero on one of its columns."""
+    pos, neg, _ = bits
+    return np.logical_or.reduceat((pos & neg).any(axis=0), np.cumsum(orders) - orders).tolist()
 
 
 def _incompatible_flags(graphs: Sequence[SignedGraph]) -> list[bool]:
     """Per graph, whether some pair has shortest paths of both signs.
 
-    Decided per batch of `_batches`, from its run of `_signed_bitsets`: a
-    graph is incompatible iff `pos & neg` is non-zero on one of its columns.
+    Decided per batch of `_batches`, from its run of `_signed_bitsets`.
     Raises ValueError when a graph is disconnected.
     """
+    orders = [g.n for g in graphs]
     flags: list[bool] = []
-    for batch in _batches(graphs):
-        pos, neg, _ = _signed_bitsets(batch)
-        offsets = np.cumsum([0] + [g.n for g in batch[:-1]])
-        flags += np.logical_or.reduceat((pos & neg).any(axis=0), offsets).tolist()
+    for cut in _batches(orders, [g.m for g in graphs]):
+        flags += _flags(_signed_bitsets(graphs[cut]), orders[cut])
     return flags
-
-
-def _any_incompatible(pos: np.ndarray, neg: np.ndarray) -> bool:
-    """True iff some bit is set in both `pos` and `neg` from `_signed_bitsets`."""
-    return bool((pos & neg).any())
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
@@ -291,16 +308,19 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), axis=1, count=n, bitorder="little")
 
 
-def _assemble(n: int, pos: np.ndarray, neg: np.ndarray, planes: list[np.ndarray]) -> SignedDistances:
-    """The read-only `SignedDistances` arrays of one graph's bitsets from `_signed_bitsets`.
+def _assemble(bits: _Bitsets, offset: int, n: int) -> SignedDistances:
+    """The read-only `SignedDistances` of the graph of a batch at columns offset..offset+n-1.
 
-    One `np.unpackbits` per array, and one shift-OR per distance plane into
+    Its words and columns are sliced out of the batch's bitsets; then one
+    `np.unpackbits` per array, and one shift-OR per distance plane into
     `dist`.
     """
+    cols = np.s_[: -(-n // _WORD), offset : offset + n]
+    pos, neg, planes = bits
     dist = np.zeros((n, n), dtype=np.int32)
     for k, plane in enumerate(planes):
-        dist |= np.left_shift(_unpack(plane, n), k, dtype=np.int32)
-    out = SignedDistances(dist=dist, pos=_unpack(pos, n).view(bool), neg=_unpack(neg, n).view(bool))
+        dist |= np.left_shift(_unpack(plane[cols], n), k, dtype=np.int32)
+    out = SignedDistances(dist=dist, pos=_unpack(pos[cols], n).view(bool), neg=_unpack(neg[cols], n).view(bool))
     for a in (out.dist, out.pos, out.neg):
         a.flags.writeable = False
     return out
@@ -312,7 +332,7 @@ def signed_distances(g: SignedGraph) -> SignedDistances:
     The level loop is `_signed_bitsets`; its bitsets are unpacked into the
     `dist`, `pos` and `neg` arrays.  Raises ValueError on a disconnected graph.
     """
-    return _assemble(g.n, *_signed_bitsets([g]))
+    return _assemble(_signed_bitsets([g]), 0, g.n)
 
 
 def _check_which(which: str) -> str:
@@ -377,22 +397,25 @@ class IncompatibilityWitness:
 
 
 def _opposite_paths(
-    g: SignedGraph, sd: SignedDistances, u: int, targets: list[int]
+    g: SignedGraph, sd: SignedDistances, pairs: Sequence[tuple[int, int]]
 ) -> list[tuple[list[int], list[int]]]:
-    """A positive and a negative shortest u-v path for each v in targets.
+    """A positive and a negative shortest u-v path for each pair (u, v) of g.
 
     Each path is walked back from v through row u of `sd`, at every step
     taking the first neighbour one hop closer to u through which the
-    remaining sign is achievable, so every step is an edge.  Both paths are
-    then certified against an independent unsigned BFS from u: the edge
-    signs multiply to the path's sign and the length equals the BFS hop count.
-    Raises RuntimeError naming the pair when `sd` does not support a path
-    or a path fails its certificate; no uncertified path is returned.
+    remaining sign is achievable.  All paths are then certified together,
+    independently of the walk: every step is looked up among the sorted
+    `g.edges`, the signs found multiply to the path's sign, and the length
+    equals the hop count of an unsigned BFS from u.  Raises RuntimeError
+    naming the pair when `sd` does not support a path or a path fails its
+    certificate; no uncertified path is returned.
     """
-    dist, pos, neg = (a[u].tolist() for a in (sd.dist, sd.pos, sd.neg))
-    hops = _bfs_dist(g, u)
+    rows: dict[int, list[list]] = {}
     out = []
-    for v in targets:
+    for u, v in pairs:
+        if u not in rows:
+            rows[u] = [a[u].tolist() for a in (sd.dist, sd.pos, sd.neg)]
+        dist, pos, neg = rows[u]
         paths = []
         for target in (1, -1):
             path, need, cur = [v], target, v
@@ -406,36 +429,48 @@ def _opposite_paths(
                 else:
                     raise RuntimeError(f"pair ({u},{v}): no shortest path of sign {target:+d} in the distances")
             path.reverse()
-            sign = math.prod(g.sign(a, b) for a, b in zip(path, path[1:]))
-            if sign != target or len(path) - 1 != hops[v]:
-                raise RuntimeError(
-                    f"pair ({u},{v}): path {path} of sign {target:+d} fails its certificate "
-                    f"against BFS distance {hops[v]}"
-                )
             paths.append(path)
         out.append(tuple(paths))
+    if out:
+        _certify_paths(g, pairs, out)
     return out
 
 
-def _certified_incompatible_pairs(g: SignedGraph) -> list[tuple[int, int]]:
-    """`incompatible_pairs` of g, each certified by `_opposite_paths`.
+def _certify_paths(
+    g: SignedGraph, pairs: Sequence[tuple[int, int]], paths: list[tuple[list[int], list[int]]]
+) -> None:
+    """Raise RuntimeError naming the first pair whose positive or negative
+    path from `_opposite_paths` is not a shortest path of its sign in g.
 
-    A compatible g is answered from the bitsets alone, with no distance
-    array built.  Raises RuntimeError naming a pair that fails its
-    certificate.
+    The steps of all paths are checked in one numpy pass: each is searched
+    for among the edge keys u*n + v of the sorted `g.edges`, and a path's
+    sign is the parity of its negative steps.  Lengths are compared with
+    `core._bfs_dist` from each source.
     """
-    pos, neg, planes = _signed_bitsets([g])
-    if not _any_incompatible(pos, neg):
-        return []
-    sd = _assemble(g.n, pos, neg, planes)
-    bad = _sorted_pairs(sd)
-    targets: dict[int, list[int]] = {}
-    for u, v in bad:
-        targets.setdefault(u, []).append(v)
-    # Called for the certificate alone: it raises on a pair it cannot certify.
-    for u, vs in targets.items():
-        _opposite_paths(g, sd, u, vs)
-    return bad
+    flat = [p for pp in paths for p in pp]
+    lengths = np.fromiter(map(len, flat), dtype=np.intp, count=len(flat))
+    verts = np.fromiter(chain.from_iterable(flat), dtype=np.intp, count=int(lengths.sum()))
+    ends = np.cumsum(lengths)
+    # Step i of the concatenation joins a vertex to the next one of its path.
+    a, b = np.delete(verts, ends - 1), np.delete(verts, ends - lengths)
+    keys = np.minimum(a, b) * g.n + np.maximum(a, b)
+    edges = _edge_rows([g])
+    edge_keys = edges[:, 0] * g.n + edges[:, 1]
+    at = np.minimum(np.searchsorted(edge_keys, keys), g.m - 1)
+    found = edge_keys[at] == keys
+    step_path = np.repeat(np.arange(len(flat)), lengths - 1)
+    missing = np.bincount(step_path, weights=~found, minlength=len(flat)) > 0
+    negative = np.bincount(step_path, weights=found & (edges[at, 2] < 0), minlength=len(flat)) % 2 == 1
+    hops = {u: _bfs_dist(g, u) for u in dict.fromkeys(u for u, _ in pairs)}
+    want = np.repeat([hops[u][v] for u, v in pairs], 2)
+    wrong = missing | (negative != np.tile([False, True], len(pairs))) | (lengths - 1 != want)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        (u, v), target = pairs[i // 2], 1 - 2 * (i % 2)
+        raise RuntimeError(
+            f"pair ({u},{v}): path {flat[i]} of sign {target:+d} fails its certificate "
+            f"against BFS distance {hops[u][v]}"
+        )
 
 
 def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:
@@ -457,7 +492,7 @@ def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:
         return None
     least = bad & (sd.dist == sd.dist[bad].min())
     u, v = divmod(int(np.argmax(least)), g.n)
-    [(p_pos, p_neg)] = _opposite_paths(g, sd, u, [v])
+    [(p_pos, p_neg)] = _opposite_paths(g, sd, [(u, v)])
     if set(p_pos[1:-1]) & set(p_neg[1:-1]):
         raise AssertionError(f"opposite-sign shortest paths of least incompatible pair ({u},{v}) intersect")
     return IncompatibilityWitness(

@@ -6,6 +6,12 @@ here: odd/even walk distances, the tensor distance formula, executable
 checks of the product compatibility theorems, and a randomized search for
 tensor-product counterexamples.
 
+The conjecture search never builds a `SignedGraph` for a product it does
+not report: a window's products are built as edge arrays by index
+arithmetic (`_tensor_edges`), decided in one all-sources pass, and only an
+incompatible product becomes a graph, through `tensor`, to certify its
+pairs from the distances of that same pass.
+
 Odd/even walk distances are hop distances in the bipartite double cover
 g x K2: there (x, p) sits at 2x + p and every step flips the parity p, so
 one unsigned BFS from (u, 0) gives the shortest even walk to v at (v, 0)
@@ -18,8 +24,20 @@ import math
 import random
 from dataclasses import dataclass
 
-from .core import SignedGraph, _bfs_dist, _check_vertex, has_odd_cycle, is_connected
-from .distance import _certified_incompatible_pairs, _incompatible_flags, is_compatible
+import numpy as np
+
+from .core import SignedGraph, _bfs_dist, _check_order, _check_vertex, has_odd_cycle, is_connected
+from .distance import (
+    _assemble,
+    _batches,
+    _edge_bitsets,
+    _edge_rows,
+    _flags,
+    _incompatible_flags,
+    _opposite_paths,
+    _sorted_pairs,
+    is_compatible,
+)
 
 __all__ = [
     "pair_index",
@@ -218,12 +236,14 @@ def check_product_compatibility_theorems(g1: SignedGraph, g2: SignedGraph) -> di
 
 def random_signed_gnp(n: int, p: float, rng: random.Random) -> SignedGraph:
     """Erdos-Renyi underlying graph with independent uniform edge signs."""
+    _check_order(n)
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
                 edges.append((u, v, rng.choice((1, -1))))
-    return SignedGraph(n, tuple(edges))
+    # Valid and sorted as drawn: u < v < n, in increasing (u, v).
+    return SignedGraph._trusted(n, tuple(edges))
 
 
 # Draws per factor before a conjecture-search trial is skipped.
@@ -251,26 +271,60 @@ def _draw_factor(rng: random.Random, max_n: int) -> SignedGraph | None:
     return g
 
 
-def _sample_factors(rngs: list[random.Random], max_n: int) -> list[SignedGraph | None]:
-    """Rejection-sample a connected compatible signed graph from each stream.
+def _sample_factor_pairs(rngs: list[random.Random], max_n: int) -> list[list[SignedGraph | None]]:
+    """Rejection-sample two connected compatible signed graphs from each
+    stream, the first factor, then the second.
 
     The streams draw in lockstep rounds: in each round every stream still
-    without a factor makes one `_draw_factor`, and the round's connected
-    draws are checked by one `_incompatible_flags` batch.  A stream is
-    consumed exactly as if it drew alone.  None for a stream with no
-    compatible draw in `_ATTEMPTS` rounds.
+    short of its two factors makes one `_draw_factor`, and the round's
+    connected draws are checked by one `_incompatible_flags` batch.  A
+    stream moves on to its second factor in the round after its first is
+    accepted or its `_ATTEMPTS` draws run out, so it is consumed exactly as
+    if it drew alone.  A factor with no compatible draw in `_ATTEMPTS` is
+    None.
     """
-    out: list[SignedGraph | None] = [None] * len(rngs)
+    factors: list[list[SignedGraph | None]] = [[] for _ in rngs]
+    tries = [0] * len(rngs)
     pending = range(len(rngs))
-    for _ in range(_ATTEMPTS):
+    while pending:
         drawn = [(i, g) for i in pending if (g := _draw_factor(rngs[i], max_n)) is not None]
-        for (i, g), bad in zip(drawn, _incompatible_flags([g for _, g in drawn])):
-            if not bad:
-                out[i] = g
-        pending = [i for i in pending if out[i] is None]
-        if not pending:
-            break
-    return out
+        flags = _incompatible_flags([g for _, g in drawn])
+        accepted = {i: g for (i, g), bad in zip(drawn, flags) if not bad}
+        for i in pending:
+            tries[i] += 1
+            if i in accepted or tries[i] == _ATTEMPTS:
+                factors[i].append(accepted.get(i))
+                tries[i] = 0
+        pending = [i for i in pending if len(factors[i]) < 2]
+    return factors
+
+
+def _tensor_edges(firsts: list[SignedGraph], seconds: list[SignedGraph]) -> np.ndarray:
+    """The `(u, v, sign)` rows of each tensor product `tensor(g1, g2)` of the
+    pairs, product after product, with `tensor`'s vertex numbers.
+
+    A product has 2 * m1 * m2 rows, in an order of its own: the factor edge
+    pair (i, k, s1), (j, l, s2) gives the rows (i*n2 + j, k*n2 + l) and
+    (i*n2 + l, k*n2 + j), both of sign s1*s2 and both with u < v as i < k.
+    Built by index arithmetic over the concatenated factor edges: each
+    first-factor edge runs over its pair's second-factor edges.
+    """
+    m1 = np.array([g.m for g in firsts])
+    m2 = np.array([g.m for g in seconds])
+    e1, e2 = _edge_rows(firsts), _edge_rows(seconds)
+    # The first factor's ends scaled to i*n2 and k*n2.
+    e1[:, :2] *= np.repeat([g.n for g in seconds], m1)[:, None]
+    run = np.repeat(m2, m1)
+    a = np.repeat(np.arange(len(e1)), run)
+    # Within the run of a first-factor edge, b counts up from its pair's
+    # first second-factor edge.
+    b = np.arange(len(a)) + np.repeat(np.repeat(np.cumsum(m2) - m2, m1) - (np.cumsum(run) - run), run)
+    x, y = e1[a], e2[b]
+    rows = np.empty((len(a), 2, 3), dtype=np.intp)
+    rows[:, 0, :2] = x[:, :2] + y[:, :2]
+    rows[:, 1, :2] = x[:, :2] + y[:, 1::-1]
+    rows[:, :, 2] = (x[:, 2] * y[:, 2])[:, None]
+    return rows.reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -301,11 +355,13 @@ def conjecture_search(
     the second factor that its compatibility does not constrain).  Each
     reported pair is certified by two opposite-sign shortest paths checked
     against an unsigned BFS; a failed certificate raises RuntimeError
-    naming the pair.  Trials run in windows of `_WINDOW`: the window's
-    factors are drawn in lockstep rounds (`_sample_factors`), and its
-    products are decided in one batch on the bitsets of the all-sources
-    pass; distance arrays, sorted pairs and certificates are built only for
-    a product that has an incompatible pair.  Deterministic for a fixed
+    naming the pair.  Trials run in windows of `_WINDOW`: both factors of
+    the window's trials are drawn in one lockstep of rounds
+    (`_sample_factor_pairs`), and its products are built as edge arrays and
+    decided on the bitsets of the all-sources pass
+    (`_incompatible_products`); a product becomes a `SignedGraph`, and gets
+    distance arrays, sorted pairs and certificates, only when it has an
+    incompatible pair.  Deterministic for a fixed
     seed: trial t uses its own RNG stream seeded by (seed, t), consumed as
     if the trial ran alone, so results do not depend on the windows.
     Raises ValueError when trials is negative or max_n is below 2, the
@@ -319,17 +375,39 @@ def conjecture_search(
     for start in range(0, trials, _WINDOW):
         window = range(start, min(start + _WINDOW, trials))
         rngs = [random.Random(f"{seed}:{t}") for t in window]
-        first = _sample_factors(rngs, max_n)
-        second = _sample_factors(rngs, max_n)
         pairs = [
             (t, g1, g2)
-            for t, g1, g2 in zip(window, first, second)
+            for t, (g1, g2) in zip(window, _sample_factor_pairs(rngs, max_n))
             if g1 is not None and g2 is not None and (has_odd_cycle(g1) or has_odd_cycle(g2))
         ]
-        prods = [tensor(g1, g2) for _, g1, g2 in pairs]
-        for (t, g1, g2), prod, bad in zip(pairs, prods, _incompatible_flags(prods)):
+        out += _incompatible_products(pairs)
+    return out
+
+
+def _incompatible_products(pairs: list[tuple[int, SignedGraph, SignedGraph]]) -> list[ConjectureCandidate]:
+    """The candidates among (trial, g1, g2) whose tensor product is incompatible.
+
+    The products are cut by `_batches` from their orders n1*n2 and sizes
+    2*m1*m2 before any is built; each cut is built by `_tensor_edges` and
+    decided by one run of the all-sources pass.  A flagged product's
+    distances are sliced out of that run, and only it becomes a
+    `SignedGraph`, through `tensor`, against which its pairs are certified.
+    """
+    orders = [g1.n * g2.n for _, g1, g2 in pairs]
+    sizes = [2 * g1.m * g2.m for _, g1, g2 in pairs]
+    out = []
+    for cut in _batches(orders, sizes):
+        part = pairs[cut]
+        bits = _edge_bitsets(
+            orders[cut], _tensor_edges([g1 for _, g1, _ in part], [g2 for _, _, g2 in part]), sizes[cut]
+        )
+        offset = 0
+        for (t, g1, g2), n, bad in zip(part, orders[cut], _flags(bits, orders[cut])):
             if bad:
-                out.append(
-                    ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(_certified_incompatible_pairs(prod)))
-                )
+                sd = _assemble(bits, offset, n)
+                bad_pairs = _sorted_pairs(sd)
+                # Called for the certificate alone: it raises on a pair it cannot certify.
+                _opposite_paths(tensor(g1, g2), sd, bad_pairs)
+                out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(bad_pairs)))
+            offset += n
     return out

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import SignedGraph
-from .distance import signed_distances
+from .distance import SignedDistances, signed_distances
 
 __all__ = [
     "IntPolynomial",
@@ -291,7 +291,11 @@ def compatible_distance_matrix(g: SignedGraph) -> np.ndarray:
 
     Raises if the max and min matrices differ, i.e. if g is incompatible.
     """
-    sd = signed_distances(g)
+    return _compatible_matrix(signed_distances(g))
+
+
+def _compatible_matrix(sd: SignedDistances) -> np.ndarray:
+    """D of the distances sd of a compatible graph; ValueError if incompatible."""
     if sd.incompatible.any():
         raise ValueError("graph is incompatible: max and min distance matrices differ")
     return sd.d_max

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sgdist as sg
+from sgdist import distance
 from conftest import to_networkx
 
 import networkx as nx
@@ -94,6 +95,27 @@ def test_census_classes_closed_under_switching(petersen_table):
             zeta = [rng.choice((1, -1)) for _ in range(10)]
             switched = sg.switch(c.representative, zeta)
             assert sg.char_poly(sg.distance_matrix(switched)).coeffs == c.char_poly.coeffs
+
+
+@pytest.mark.parametrize("victim", [0, 40, 66])
+def test_census_refuses_an_incompatible_signing(monkeypatch, petersen_table, victim):
+    # The census reads all its matrices from one pass over 67 signings; a
+    # false negative bit on the edge 0-1 of one of them must still be caught.
+    real = distance._edge_bitsets
+
+    def corrupt(orders, edges, sizes):
+        pos, neg, planes = real(orders, edges, sizes)
+        assert len(orders) == 67
+        for v, bit in ((0, 1), (1, 0)):
+            pos[0, 10 * victim + v] |= np.uint64(1 << bit)
+            neg[0, 10 * victim + v] |= np.uint64(1 << bit)
+        return pos, neg, planes
+
+    monkeypatch.setattr(distance, "_edge_bitsets", corrupt)
+    with pytest.raises(ValueError, match="^graph is incompatible: max and min distance matrices differ$"):
+        sg.enumerate_petersen_signings()
+    monkeypatch.undo()
+    assert sg.enumerate_petersen_signings() == petersen_table
 
 
 def test_census_quotient_matches_exhaustive_polynomials(petersen_table):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -239,6 +240,22 @@ def test_conjecture_smoke(capsys, tmp_path):
         assert (tmp_path / f"candidate_{t}_g1.sg").exists()
         assert (tmp_path / f"candidate_{t}_g2.sg").exists()
         assert (tmp_path / f"candidate_{t}.json").exists()
+
+
+def test_conjecture_golden(capsys, tmp_path):
+    # Pins the bytes of stdout and of every candidate file.  The manifest
+    # lists each outdir file as "<name> <sha256>" in name order.
+    code, out, err = invoke(
+        capsys, "conjecture", "--trials", "300", "--max-n", "7", "--seed", "1", "--outdir", str(tmp_path),
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == "f7fc2686c5a033e070def96b5cad5fe216e88c3d8a3a5e94b7971d44efa9e86c"
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 75
+    manifest = "".join(f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in files)
+    assert hashlib.sha256(manifest.encode()).hexdigest() == (
+        "f599c9882f707441221e2f56d7a080cdada7fda66d7be0a05ee44fbea52306e1"
+    )
 
 
 def test_outputs_deterministic(fixtures, capsys, tmp_path):

@@ -2,6 +2,7 @@ import random
 import re
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,11 +114,46 @@ def test_adjacency_ascending_from_shuffled_edges():
         pytest.param(
             lambda: sg.SignedGraph.from_edges(3, [(2, 1, 1), (1, 2, 1)]), "duplicate edge (1,2)", id="dup-flipped-first"
         ),
+        pytest.param(
+            lambda: sg.SignedGraph.from_edges(3, [(0, 1.7, 1), (1, 2, 1)]),
+            "edge (0,1.7) has a non-integer vertex",
+            id="float-from-edges",
+        ),
+        pytest.param(
+            lambda: sg.SignedGraph(3, ((0, 1.0, 1), (1.0, 2, -1))),
+            "edge (0,1.0) has a non-integer vertex",
+            id="integral-float",
+        ),
+        pytest.param(lambda: sg.random_signed_gnp(0, 0.5, random.Random(1)), "vertex count must be >= 1, got 0", id="gnp-0"),
+        pytest.param(
+            lambda: sg.random_signed_gnp(-2, 0.5, random.Random(1)), "vertex count must be >= 1, got -2", id="gnp-negative"
+        ),
     ],
 )
 def test_constructor_rejections(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_numpy_integer_vertices_accepted():
+    want = sg.SignedGraph(3, ((0, 1, 1), (1, 2, -1)))
+    ends = np.array([[1, 0], [1, 2]], dtype=np.int32)
+    assert sg.SignedGraph.from_edges(3, [(u, v, s) for (u, v), s in zip(ends, (1, -1))]) == want
+    assert sg.SignedGraph(3, tuple((np.int64(u), np.int64(v), s) for u, v, s in want.edges)) == want
+
+
+def test_generated_graphs_equal_checked_ones():
+    # random_signed_gnp and with_signs skip the constructor's checks; their
+    # graphs must equal the same edges passed through them.
+    rng = random.Random(4)
+    for _ in range(40):
+        g = sg.random_signed_gnp(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng)
+        h = g.with_signs([rng.choice((1, -1)) for _ in g.edges])
+        for x in (g, h):
+            y = sg.SignedGraph(x.n, x.edges)
+            assert x == y and hash(x) == hash(y) and x.adjacency == y.adjacency
+    with pytest.raises(ValueError, match="^sign must be \\+1 or -1, got 0$"):
+        sg.complete_graph(3).with_signs([1, 0, 1])
 
 
 # -- switching ----------------------------------------------------------------

@@ -364,13 +364,15 @@ def test_routes_agree_when_the_words_run_in_blocks(monkeypatch):
         _signed_bitsets([disconnected])
 
 
-def test_any_incompatible_reads_every_word():
-    # Source 129 sits in the third word; one shared bit there decides.
+def test_flags_read_every_word():
+    # Source 129 sits in the third word; one shared bit there decides, for
+    # the graph that owns column 7.
     pos = np.zeros((3, 130), dtype="<u8")
     neg = pos.copy()
     pos[2, 7] = neg[2, 7] = 1 << 1
-    assert distance._any_incompatible(pos, neg)
-    assert not distance._any_incompatible(pos, neg ^ pos)
+    assert distance._flags((pos, neg, []), [130]) == [True]
+    assert distance._flags((pos, neg, []), [7, 123]) == [False, True]
+    assert distance._flags((pos, neg ^ pos, []), [130]) == [False]
 
 
 # The routes that run the all-sources pass, each of which must refuse a
@@ -446,7 +448,7 @@ def test_incompatible_flags_in_cut_batches(monkeypatch, bound):
     want = _incompatible_flags(graphs)
     assert any(want) and not all(want)
     monkeypatch.setattr(distance, "_GATHER_WORDS", bound)
-    assert list(distance._batches(graphs)) != [graphs]
+    assert list(distance._batches([g.n for g in graphs], [g.m for g in graphs])) != [slice(0, len(graphs))]
     assert _incompatible_flags(graphs) == want
 
 

@@ -3,10 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sgdist as sg
 from sgdist import distance, products
-from sgdist.distance import _opposite_paths, _signed_bitsets
+from sgdist.distance import _opposite_paths
 from conftest import nx_path_signs, random_balanced_connected, random_connected_signed, to_networkx
 
 import networkx as nx
@@ -410,7 +411,7 @@ def test_opposite_paths_certify_every_reported_pair():
     sd = sg.signed_distances(prod)
     for u in range(prod.n):
         vs = [v for v in range(prod.n) if sd.incompatible[u, v]]
-        for v, (p_pos, p_neg) in zip(vs, _opposite_paths(prod, sd, u, vs)):
+        for v, (p_pos, p_neg) in zip(vs, _opposite_paths(prod, sd, [(u, v) for v in vs])):
             for path, sign in ((p_pos, 1), (p_neg, -1)):
                 assert (path[0], path[-1], len(path) - 1) == (u, v, sd.dist[u, v])
                 assert math.prod(prod.sign(a, b) for a, b in zip(path, path[1:])) == sign
@@ -443,58 +444,151 @@ def test_opposite_paths_reject_corrupted_distances():
     ]
     for g, sd in cases:
         with pytest.raises(RuntimeError, match=r"pair \(0,2\)"):
-            _opposite_paths(g, sd, 0, [2])
+            _opposite_paths(g, sd, [(0, 2)])
+
+
+def test_certificate_refuses_a_step_off_the_graph():
+    # [0, 3, 2] has the BFS length and, through its one real edge, the
+    # negative sign; its step 3-2 is not an edge of g.
+    g = sg.SignedGraph(5, ((0, 1, 1), (0, 3, -1), (1, 2, 1), (3, 4, 1)))
+    with pytest.raises(RuntimeError, match=r"^pair \(0,2\): path \[0, 3, 2\] of sign -1 fails"):
+        distance._certify_paths(g, [(0, 2)], [([0, 1, 2], [0, 3, 2])])
 
 
 def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
     # A negative bit on a pair whose shortest paths are all positive flags
-    # the product as incompatible in the bitset pass, but the pair cannot
-    # be certified.  Only graphs above max_n vertices, so products alone,
-    # are corrupted: the factors still pass an honest is_compatible.  A
-    # product has at most 36 vertices, so its sources fit in word 0.
+    # the product as incompatible in the all-sources pass, but the pair
+    # cannot be certified.  Only the pass over the products' edge arrays is
+    # corrupted: the factors still pass an honest check.  A product has at
+    # most 36 vertices, so its sources fit in word 0.
     max_n = 6
 
-    def corrupt(graphs):
-        pos, neg, planes = _signed_bitsets(graphs)
-        offset = 0
-        for g in graphs:
-            if g.n > max_n:
-                u, v = next(
-                    (u, v) for u in range(g.n) for v in range(g.n)
-                    if u != v and pos[0, offset + u] >> v & 1 and not neg[0, offset + u] >> v & 1
-                )
-                neg[0, offset + u] |= np.uint64(1 << v)
-                neg[0, offset + v] |= np.uint64(1 << u)
-            offset += g.n
+    def corrupt(orders, edges, sizes):
+        pos, neg, planes = distance._edge_bitsets(orders, edges, sizes)
+        for n, offset in zip(orders, np.cumsum(orders) - orders):
+            u, v = next(
+                (u, v) for u in range(n) for v in range(n)
+                if u != v and pos[0, offset + u] >> v & 1 and not neg[0, offset + u] >> v & 1
+            )
+            neg[0, offset + u] |= np.uint64(1 << v)
+            neg[0, offset + v] |= np.uint64(1 << u)
         return pos, neg, planes
 
-    monkeypatch.setattr(distance, "_signed_bitsets", corrupt)
+    monkeypatch.setattr(products, "_edge_bitsets", corrupt)
     with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\)"):
         sg.conjecture_search(40, max_n=max_n, seed=123)
 
 
+def replay_factor(rng, max_n):
+    """One factor of a conjecture-search stream, drawn alone: `_draw_factor`
+    until `is_compatible` accepts, at most `_ATTEMPTS` times."""
+    for _ in range(products._ATTEMPTS):
+        g = products._draw_factor(rng, max_n)
+        if g is not None and sg.is_compatible(g):
+            return g
+    return None
+
+
+def replay_trial(t, max_n, seed):
+    """Trial t of `conjecture_search` alone: its factors, and its product
+    when the trial builds one."""
+    rng = random.Random(f"{seed}:{t}")
+    g1 = replay_factor(rng, max_n)
+    g2 = replay_factor(rng, max_n)
+    if g1 is None or g2 is None or not (sg.has_odd_cycle(g1) or sg.has_odd_cycle(g2)):
+        return g1, g2, None
+    return g1, g2, sg.tensor(g1, g2)
+
+
 def test_conjecture_search_misses_no_candidate():
     # Certificates reject false positives; this replays every trial's RNG
-    # stream alone, as a batch of one, and checks that the lockstep windows
-    # draw the same factors and that the bitset skip drops no incompatible
-    # product.  300 trials span several windows.
+    # stream alone and checks that the lockstep windows draw the same
+    # factors and that the window's pass drops no incompatible product.
+    # 300 trials span several windows.
     trials, max_n, seed = 300, 7, 1
     assert trials > 3 * products._WINDOW
     found = {c.trial: c for c in sg.conjecture_search(trials, max_n=max_n, seed=seed)}
     products_built = 0
     for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
-        [g1] = products._sample_factors([rng], max_n)
-        [g2] = products._sample_factors([rng], max_n)
-        if g1 is None or g2 is None or not (sg.has_odd_cycle(g1) or sg.has_odd_cycle(g2)):
+        g1, g2, prod = replay_trial(t, max_n, seed)
+        if prod is None:
             assert t not in found
             continue
         products_built += 1
-        want = tuple(sg.incompatible_pairs(sg.tensor(g1, g2)))
+        want = tuple(sg.incompatible_pairs(prod))
         if t in found:
             assert (found[t].g1, found[t].g2) == (g1, g2)
         assert (found[t].product_pairs if t in found else ()) == want, t
     assert products_built > 200 and 0 < len(found) < products_built
+
+
+@pytest.mark.parametrize("attempts", [1, 2])
+def test_lockstep_search_equals_sequential_replay(monkeypatch, attempts):
+    # Few attempts make streams give up on a factor, often on the first while
+    # the second is still drawn; the lockstep rounds must consume every
+    # stream as a sequential replay does.
+    monkeypatch.setattr(products, "_ATTEMPTS", attempts)
+    trials, max_n, seed = 150, 7, 5
+    want = []
+    for t in range(trials):
+        g1, g2, prod = replay_trial(t, max_n, seed)
+        if prod is not None and not sg.is_compatible(prod):
+            want.append(products.ConjectureCandidate(t, g1, g2, tuple(sg.incompatible_pairs(prod))))
+    assert want
+    assert sg.conjecture_search(trials, max_n=max_n, seed=seed) == want
+
+
+@st.composite
+def connected_factors(draw, min_n=2, max_n=7):
+    """A random spanning tree plus random extra edges, all randomly signed."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    sign = st.sampled_from((1, -1))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v): draw(sign) for v in range(1, n)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in edges and draw(st.booleans()):
+                edges[(u, v)] = draw(sign)
+    return sg.SignedGraph.from_edges(n, [(u, v, s) for (u, v), s in edges.items()])
+
+
+C4_MIXED = sg.cycle_graph(4, [1, -1, 1, 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(connected_factors(), connected_factors()), min_size=1, max_size=4))
+@example([(K2P, C3P)])
+@example([(K2N, K2P), (C4_MIXED, sg.complete_graph(5, -1)), (C3P, C4_MIXED)])
+def test_tensor_edges_match_tensor(pairs):
+    # Each product's run of rows holds the edges of `tensor`, in any order.
+    rows = products._tensor_edges([g1 for g1, _ in pairs], [g2 for _, g2 in pairs])
+    start = 0
+    for g1, g2 in pairs:
+        prod = sg.tensor(g1, g2)
+        run = rows[start : start + prod.m]
+        assert sorted(map(tuple, run.tolist())) == list(prod.edges)
+        start += prod.m
+    assert start == len(rows)
+
+
+@pytest.mark.parametrize("bound", [1, 64, 300])
+def test_window_flags_in_cut_batches(monkeypatch, bound):
+    # Small products batch together under the bound, large ones stand alone,
+    # and a product over 64 vertices spans two source words; every product
+    # must be flagged exactly when it is incompatible.
+    rng = random.Random(bound)
+    factors = [(K2P, C3P), (K2N, sg.cycle_graph(23, [1] * 22 + [-1])), (C3P, sg.cycle_graph(25, [1] * 25))]
+    factors += [(random_connected_signed(rng, 2, 6), random_balanced_connected(rng, 3, 7)) for _ in range(20)]
+    pairs = [(t, g1, g2) for t, (g1, g2) in enumerate(factors) if sg.has_odd_cycle(g1) or sg.has_odd_cycle(g2)]
+    monkeypatch.setattr(distance, "_GATHER_WORDS", bound)
+    orders = [g1.n * g2.n for _, g1, g2 in pairs]
+    assert len(list(distance._batches(orders, [2 * g1.m * g2.m for _, g1, g2 in pairs]))) > 1
+    want = []
+    for t, g1, g2 in pairs:
+        prod = sg.tensor(g1, g2)
+        if not sg.is_compatible(prod):
+            want.append(products.ConjectureCandidate(t, g1, g2, tuple(sg.incompatible_pairs(prod))))
+    assert want and len(want) < len(pairs)
+    assert products._incompatible_products(pairs) == want
 
 
 def test_tensor_does_not_preserve_compatibility():
