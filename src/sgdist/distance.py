@@ -18,13 +18,21 @@ graph is a batch of one.  `_batches` cuts graph lists and array products
 alike by the same bound on the gathered words.
 
 Compatibility is decided on those bitsets alone (`_flags`,
-`_incompatible_flags`); `_assemble` unpacks one graph's slice of them into
-numpy arrays only for callers that read matrices or pairs (both matrices,
-the incompatible pairs, the associated complete graph, witnesses, the
-conjecture certificates and the Petersen census).
-Witness paths and conjecture certificates are walked back through rows of
-those arrays; all the paths of a graph are then checked in one numpy step
-against its sorted edges and against an unsigned BFS per source.
+`_incompatible_flags`), and so are connectivity (`_reached`) and odd cycles
+(`_odd_cycles`): the pass does not raise on a disconnected graph, its
+callers that need a connected one do.  `_assemble` unpacks one graph's
+slice of them into numpy arrays only for callers that read matrices or
+pairs (both matrices, the incompatible pairs, the associated complete
+graph, witnesses and the Petersen census).
+
+The table certificate (`_table_faults`) checks distance and sign tables
+against a signed adjacency matrix by local rules, vectorised over the
+half-edges: each source's distances form a shortest-path potential and its
+signs follow the signed BFS recurrence, which proves the incompatible
+pairs sound and complete.  `_certified_tables` certifies every graph of a
+batch run at once (the conjecture search's products and factors);
+`_certify_tables` certifies chosen rows of one graph's tables (the rows of
+witness paths, whose steps are checked against the same matrix).
 `signed_bfs` and `brute_force_summary` remain as reference routes for
 tests and demos; both take their hop distances from `core._bfs_dist`, so
 this module runs no BFS loop of its own besides the all-sources pass.
@@ -168,8 +176,15 @@ def _edge_rows(graphs: Sequence[SignedGraph]) -> np.ndarray:
 
 
 def _signed_bitsets(graphs: Sequence[SignedGraph]) -> _Bitsets:
-    """`_edge_bitsets` of a batch of graphs, their edges read into one array."""
-    return _edge_bitsets([g.n for g in graphs], _edge_rows(graphs), [g.m for g in graphs])
+    """`_edge_bitsets` of a batch of graphs, their edges read into one array.
+
+    Raises ValueError when a graph of the batch is disconnected.
+    """
+    orders = [g.n for g in graphs]
+    bits = _edge_bitsets(orders, _edge_rows(graphs), [g.m for g in graphs])
+    if not all(_reached(bits, orders)):
+        raise ValueError(_DISCONNECTED)
+    return bits
 
 
 def _edge_bitsets(orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]) -> _Bitsets:
@@ -197,6 +212,10 @@ def _edge_bitsets(orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]
     graph's order stay 0.  Components never exchange bits, so every graph
     gets the bitsets it would get alone.
 
+    A run stops at the first level that reaches nothing new, so it also
+    ends on a disconnected graph: there a vertex unreached from a source
+    has neither of its sign bits, which `_reached` reads per graph.
+
     The frontier is one `(W, 2N + 1)` array: positive columns, negative
     columns and a column that stays 0.  A level is one gather of it along a
     half-edge index grouped by vertex (a negative edge reads the opposite
@@ -205,8 +224,6 @@ def _edge_bitsets(orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]
     zero column.  Sources never mix, so the words run in blocks that keep
     the gathered `(words, 4m)` array within `_GATHER_WORDS`; only a graph
     over the bound on its own needs more than one (see `_batches`).
-
-    Raises ValueError when a graph of the batch is disconnected.
     """
     total = sum(orders)
     w = -(-max(orders) // _WORD)
@@ -247,13 +264,13 @@ def _edge_bitsets(orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]
         fpos[:] = bpos
         level = 0
         while bunseen.any():
-            level += 1
-            if level == 1 << len(planes):
-                planes.append(np.zeros((w, total), dtype=_U64))
             np.bitwise_or.reduceat(front.take(src, axis=1), starts, axis=1, out=front[:, :-1])
             new = (fpos | fneg) & bunseen
             if not new.any():
-                raise ValueError(_DISCONNECTED)
+                break
+            level += 1
+            if level == 1 << len(planes):
+                planes.append(np.zeros((w, total), dtype=_U64))
             bunseen ^= new
             fpos &= new
             fneg &= new
@@ -282,6 +299,25 @@ def _batches(orders: Sequence[int], sizes: Sequence[int]) -> Iterator[slice]:
         words, reads = max(words, g_words), reads + g_reads
     if start < len(orders):
         yield slice(start, len(orders))
+
+
+def _reached(bits: _Bitsets, orders: Sequence[int]) -> list[bool]:
+    """Per graph of a batch, whether its source 0 reached every vertex: whether it is connected."""
+    pos, neg, _ = bits
+    return np.logical_and.reduceat((pos[0] | neg[0]) & np.uint64(1) != 0, np.cumsum(orders) - orders).tolist()
+
+
+def _odd_cycles(bits: _Bitsets, orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]) -> list[bool]:
+    """Per connected graph of a batch, as laid out for `_edge_bitsets`, whether it has an odd cycle.
+
+    A connected graph has one iff some edge joins two vertices at the same
+    distance parity from vertex 0: bit 0 (source 0) of the distance plane 0.
+    """
+    _, _, planes = bits
+    parity = planes[0][0] & np.uint64(1) if planes else np.zeros(sum(orders), dtype=_U64)
+    ends = edges[:, :2] + np.repeat(np.cumsum(orders) - orders, sizes)[:, None]
+    same = parity[ends[:, 0]] == parity[ends[:, 1]]
+    return (np.bincount(np.repeat(np.arange(len(orders)), sizes), weights=same, minlength=len(orders)) > 0).tolist()
 
 
 def _flags(bits: _Bitsets, orders: Sequence[int]) -> list[bool]:
@@ -404,9 +440,7 @@ def _opposite_paths(
     Each path is walked back from v through row u of `sd`, at every step
     taking the first neighbour one hop closer to u through which the
     remaining sign is achievable.  All paths are then certified together,
-    independently of the walk: every step is looked up among the sorted
-    `g.edges`, the signs found multiply to the path's sign, and the length
-    equals the hop count of an unsigned BFS from u.  Raises RuntimeError
+    independently of the walk, by `_certify_paths`.  Raises RuntimeError
     naming the pair when `sd` does not support a path or a path fails its
     certificate; no uncertified path is returned.
     """
@@ -432,20 +466,21 @@ def _opposite_paths(
             paths.append(path)
         out.append(tuple(paths))
     if out:
-        _certify_paths(g, pairs, out)
+        _certify_paths(g, sd, pairs, out)
     return out
 
 
 def _certify_paths(
-    g: SignedGraph, pairs: Sequence[tuple[int, int]], paths: list[tuple[list[int], list[int]]]
+    g: SignedGraph, sd: SignedDistances, pairs: Sequence[tuple[int, int]], paths: list[tuple[list[int], list[int]]]
 ) -> None:
     """Raise RuntimeError naming the first pair whose positive or negative
     path from `_opposite_paths` is not a shortest path of its sign in g.
 
     The steps of all paths are checked in one numpy pass: each is searched
     for among the edge keys u*n + v of the sorted `g.edges`, and a path's
-    sign is the parity of its negative steps.  Lengths are compared with
-    `core._bfs_dist` from each source.
+    sign is the parity of its negative steps.  A path's length must equal
+    `sd.dist[u, v]`, and row u of `sd` must pass `_certify_tables` against
+    those same edges, so the length is the hop distance.
     """
     flat = [p for pp in paths for p in pp]
     lengths = np.fromiter(map(len, flat), dtype=np.intp, count=len(flat))
@@ -461,16 +496,164 @@ def _certify_paths(
     step_path = np.repeat(np.arange(len(flat)), lengths - 1)
     missing = np.bincount(step_path, weights=~found, minlength=len(flat)) > 0
     negative = np.bincount(step_path, weights=found & (edges[at, 2] < 0), minlength=len(flat)) % 2 == 1
-    hops = {u: _bfs_dist(g, u) for u in dict.fromkeys(u for u, _ in pairs)}
-    want = np.repeat([hops[u][v] for u, v in pairs], 2)
+    u, v = np.array(pairs).T
+    want = np.repeat(sd.dist[u, v], 2)
     wrong = missing | (negative != np.tile([False, True], len(pairs))) | (lengths - 1 != want)
     if wrong.any():
         i = int(np.argmax(wrong))
         (u, v), target = pairs[i // 2], 1 - 2 * (i % 2)
         raise RuntimeError(
             f"pair ({u},{v}): path {flat[i]} of sign {target:+d} fails its certificate "
-            f"against BFS distance {hops[u][v]}"
+            f"against distance {sd.dist[u, v]}"
         )
+    _certify_tables(_half_edges(edges, [g.n], [g.m]), sd, list(dict.fromkeys(u for u, _ in pairs)))
+
+
+def _signed_adjacency(g: SignedGraph) -> np.ndarray:
+    """The `(n, n)` int8 matrix of g: the sign of edge uv at (u, v) and (v, u), 0 off the edges."""
+    e = _edge_rows([g])
+    adj = np.zeros((g.n, g.n), dtype=np.int8)
+    adj[e[:, 0], e[:, 1]] = adj[e[:, 1], e[:, 0]] = e[:, 2]
+    return adj
+
+
+def _matrix_edges(adj: np.ndarray) -> np.ndarray:
+    """The `(u, v, sign)` rows, u < v, of the graph of signed adjacency matrix `adj`."""
+    u, v = np.nonzero(np.triu(adj))
+    return np.column_stack((u, v, adj[u, v]))
+
+
+def _half_edges(
+    edges: np.ndarray, orders: Sequence[int], sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`(x, y, negative)`: both half-edges x -> y of every `(u, v, sign)` row
+    of a batch laid out as for `_edge_bitsets`, numbered as columns of the
+    batch and in runs by x, and whether the edge is negative."""
+    ends = edges[:, :2] + np.repeat(np.cumsum(orders) - orders, sizes)[:, None]
+    order = np.argsort(ends.T.ravel(), kind="stable")
+    return ends.T.ravel()[order], ends[:, ::-1].T.ravel()[order], np.tile(edges[:, 2] < 0, 2)[order]
+
+
+# Bound on the cells, half-edges times sources, one block of the table
+# certificate gathers.
+_CERT_CELLS = 1 << 18
+# The sign code of a shortest path, bit 0 for positive and bit 1 for
+# negative, after one more edge of negative sign.
+_SWAP = np.array([0, 2, 1, 3], dtype=np.uint8)
+
+
+def _table_faults(
+    half: tuple[np.ndarray, np.ndarray, np.ndarray], dist: np.ndarray, code: np.ndarray, own: np.ndarray
+) -> np.ndarray:
+    """The cells of distance tables that break the certificate's local rules.
+
+    Cell (v, k) of the `(V, K)` arrays claims, for source k of v's graph,
+    the hop distance `dist` to v and the sign `code` of the shortest paths
+    (bit 0 positive, bit 1 negative).  `half` holds the half-edges as
+    `_half_edges` gives them, and `own[v]` is the column of v's own source,
+    or -1 when v is none of the K sources.  The rules, per column:
+    - `dist` is 0 at the source, and every other vertex is one hop beyond
+      its nearest neighbours.  Walking down to a nearest neighbour ends only
+      at the source, so `dist` bounds the hop distance from above; it rises
+      by at most one along each edge, so it bounds it from below too.
+    - `code` is the empty path's at the source, positive and not negative;
+      elsewhere it is the OR of the nearest neighbours' codes carried over
+      one edge, swapped across a negative one.  Once `dist` is right, that is the signed BFS
+      recurrence, so by induction on the distance `code` holds the signs
+      of the shortest paths.
+    So a column without a fault proves every pair it reports with both
+    signs, and that no other pair has both.
+    """
+    x, y, negative = half
+    deg = np.bincount(x, minlength=len(dist))
+    has = deg > 0
+    starts = (np.cumsum(deg) - deg)[has]
+    near = dist[y]
+    least = np.zeros_like(dist)
+    least[has] = np.minimum.reduceat(near, starts)
+    via = np.concatenate((code, _SWAP[code]))[y + len(dist) * negative]
+    via *= near == np.repeat(least[has], deg[has], axis=0)
+    signs = np.zeros_like(code)
+    signs[has] = np.bitwise_or.reduceat(via, starts)
+    least += 1
+    at = np.flatnonzero(own >= 0)
+    least[at, own[at]] = 0
+    signs[at, own[at]] = 1
+    return (dist != least) | (code != signs)
+
+
+def _table_error(u: int, v: int, dist: int, pos: bool, neg: bool) -> RuntimeError:
+    return RuntimeError(
+        f"pair ({u},{v}): distance {dist}, positive {bool(pos)} and negative {bool(neg)} fail the table certificate"
+    )
+
+
+def _certify_tables(
+    half: tuple[np.ndarray, np.ndarray, np.ndarray], sd: SignedDistances, rows: Sequence[int]
+) -> None:
+    """Raise RuntimeError naming the first pair (u, v), u among the distinct
+    `rows` and in their order, whose entries of `sd` fail the certificate of
+    `_table_faults` against the graph of half-edges `half` (`_half_edges`).
+
+    Row u of `sd` is read as the tables from source u; the rows run in
+    blocks of at most `_CERT_CELLS` gathered cells.
+    """
+    n = len(sd.dist)
+    step = max(1, _CERT_CELLS // max(1, len(half[0])))
+    for j in range(0, len(rows), step):
+        src = np.asarray(rows[j : j + step], dtype=np.intp)
+        own = np.full(n, -1)
+        own[src] = np.arange(len(src))
+        code = sd.pos[src].view(np.uint8) | sd.neg[src].view(np.uint8) << 1
+        bad = _table_faults(half, sd.dist[src].T, code.T, own)
+        if bad.any():
+            k, v = divmod(int(np.argmax(bad.T)), n)
+            u = int(src[k])
+            raise _table_error(u, v, sd.dist[u, v], sd.pos[u, v], sd.neg[u, v])
+
+
+def _certified_tables(
+    bits: _Bitsets, orders: Sequence[int], half: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> list[SignedDistances]:
+    """The read-only `SignedDistances` of every graph of a batch run, once
+    all of them pass the certificate of `_table_faults` at once.
+
+    `half` holds the batch's half-edges from `_half_edges`, built
+    independently of the run.  The run's words are unpacked once into
+    `(N, w)` tables, w the largest order: cell (v, k) is bit k of column v,
+    the tables from source k of v's graph, and the cells past a graph's
+    order are ignored.  Each graph's arrays are then its rows of those
+    tables, transposed, so row u holds the tables from source u.  The
+    sources run in blocks of at most `_CERT_CELLS` gathered cells.  Raises
+    RuntimeError naming the pair of the first faulty cell, in the numbers
+    of its graph.
+    """
+    pos, neg, planes = bits
+    width = max(orders)
+    offsets = np.cumsum(orders) - orders
+    total = offsets[-1] + orders[-1]
+    dist = np.zeros((total, width), dtype=np.int32)
+    for k, plane in enumerate(planes):
+        dist |= np.left_shift(_unpack(plane, width), k, dtype=np.int32)
+    p, q = _unpack(pos, width), _unpack(neg, width)
+    code = p | q << 1
+    local = np.arange(total) - np.repeat(offsets, orders)
+    outside = np.arange(width) >= np.repeat(orders, orders)[:, None]
+    step = max(1, _CERT_CELLS // max(1, len(half[0])))
+    for j in range(0, width, step):
+        cols = np.s_[:, j : j + step]
+        own = np.where((local >= j) & (local < j + step), local - j, -1)
+        bad = _table_faults(half, dist[cols], code[cols], own) & ~outside[cols]
+        if bad.any():
+            c, k = divmod(int(np.argmax(bad)), bad.shape[1])
+            raise _table_error(j + k, int(local[c]), dist[c, j + k], p[c, j + k], q[c, j + k])
+    for a in (dist, p, q):
+        a.flags.writeable = False
+    out = []
+    for offset, n in zip(offsets.tolist(), orders):
+        rows = np.s_[offset : offset + n, :n]
+        out.append(SignedDistances(dist=dist[rows].T, pos=p[rows].T.view(bool), neg=q[rows].T.view(bool)))
+    return out
 
 
 def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:

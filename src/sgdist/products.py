@@ -6,11 +6,13 @@ here: odd/even walk distances, the tensor distance formula, executable
 checks of the product compatibility theorems, and a randomized search for
 tensor-product counterexamples.
 
-The conjecture search never builds a `SignedGraph` for a product it does
-not report: a window's products are built as edge arrays by index
-arithmetic (`_tensor_edges`), decided in one all-sources pass, and only an
-incompatible product becomes a graph, through `tensor`, to certify its
-pairs from the distances of that same pass.
+The conjecture search runs no Python BFS or path walk per graph.  Each
+sampler round's draws are judged by one all-sources pass (connected,
+compatible, odd cycle).  A window's products are built as edge arrays by
+index arithmetic (`_tensor_edges`), never as graphs, and decided in one
+all-sources pass; an incompatible product's tables from that pass are
+certified against np.kron(S1, S2) of its factors' signed adjacency
+matrices, and the reported factors are certified in one more pass.
 
 Odd/even walk distances are hop distances in the bipartite double cover
 g x K2: there (x, p) sits at 2x + p and every step flips the parity p, so
@@ -28,13 +30,16 @@ import numpy as np
 
 from .core import SignedGraph, _bfs_dist, _check_order, _check_vertex, has_odd_cycle, is_connected
 from .distance import (
-    _assemble,
     _batches,
+    _certified_tables,
     _edge_bitsets,
     _edge_rows,
     _flags,
-    _incompatible_flags,
-    _opposite_paths,
+    _half_edges,
+    _matrix_edges,
+    _odd_cycles,
+    _reached,
+    _signed_adjacency,
     _sorted_pairs,
     is_compatible,
 )
@@ -254,46 +259,62 @@ _ATTEMPTS = 300
 _WINDOW = 64
 
 
-def _draw_factor(rng: random.Random, max_n: int) -> SignedGraph | None:
-    """One draw of the factor sampler: a signed G(n, p), n in 2..max_n, or
-    None when it is disconnected.  Half the connected draws are switched to
-    a balanced signing (vertex potential), which is always compatible, so
-    the accepted pool is not dominated by tiny or nearly all-positive graphs.
+def _verdicts(graphs: list[SignedGraph]) -> list[tuple[bool, bool, bool]]:
+    """Per graph: whether it is connected, whether it has a pair with
+    shortest paths of both signs, and whether it has an odd cycle.
+
+    Read off one run of the all-sources pass per cut of `_batches`; the
+    last two are only meaningful for a connected graph.
     """
-    n = rng.randint(2, max_n)
-    p = rng.uniform(0.35, 0.9)
-    g = random_signed_gnp(n, p, rng)
-    if not is_connected(g):
-        return None
-    if rng.random() < 0.5:
-        zeta = [rng.choice((1, -1)) for _ in range(n)]
-        g = g.with_signs([zeta[u] * zeta[v] for u, v, _ in g.edges])
-    return g
+    orders, sizes = [g.n for g in graphs], [g.m for g in graphs]
+    out: list[tuple[bool, bool, bool]] = []
+    for cut in _batches(orders, sizes):
+        edges = _edge_rows(graphs[cut])
+        bits = _edge_bitsets(orders[cut], edges, sizes[cut])
+        out += zip(
+            _reached(bits, orders[cut]), _flags(bits, orders[cut]), _odd_cycles(bits, orders[cut], edges, sizes[cut])
+        )
+    return out
 
 
-def _sample_factor_pairs(rngs: list[random.Random], max_n: int) -> list[list[SignedGraph | None]]:
+def _sample_factor_pairs(rngs: list[random.Random], max_n: int) -> list[list[tuple[SignedGraph, bool] | None]]:
     """Rejection-sample two connected compatible signed graphs from each
-    stream, the first factor, then the second.
+    stream, the first factor, then the second, each with whether it has an
+    odd cycle.
+
+    A draw is a signed G(n, p), n in 2..max_n; a disconnected one is
+    refused.  Half the connected draws are switched to a balanced signing
+    (vertex potential), which is always compatible, so the accepted pool is
+    not dominated by tiny or nearly all-positive graphs; the others are
+    accepted when compatible.
 
     The streams draw in lockstep rounds: in each round every stream still
-    short of its two factors makes one `_draw_factor`, and the round's
-    connected draws are checked by one `_incompatible_flags` batch.  A
-    stream moves on to its second factor in the round after its first is
-    accepted or its `_ATTEMPTS` draws run out, so it is consumed exactly as
-    if it drew alone.  A factor with no compatible draw in `_ATTEMPTS` is
-    None.
+    short of its two factors draws one G(n, p), one `_verdicts` pass over
+    the round's draws decides which are connected, compatible and
+    non-bipartite, and only the connected ones go on to draw their
+    switching coin and potential.  A stream moves on to its second factor
+    in the round after its first is accepted or its `_ATTEMPTS` draws run
+    out, so it is consumed exactly as if it drew alone.  A factor with no
+    accepted draw in `_ATTEMPTS` is None.
     """
-    factors: list[list[SignedGraph | None]] = [[] for _ in rngs]
+    factors: list[list[tuple[SignedGraph, bool] | None]] = [[] for _ in rngs]
     tries = [0] * len(rngs)
     pending = range(len(rngs))
     while pending:
-        drawn = [(i, g) for i in pending if (g := _draw_factor(rngs[i], max_n)) is not None]
-        flags = _incompatible_flags([g for _, g in drawn])
-        accepted = {i: g for (i, g), bad in zip(drawn, flags) if not bad}
-        for i in pending:
+        drawn = [random_signed_gnp(rngs[i].randint(2, max_n), rngs[i].uniform(0.35, 0.9), rngs[i]) for i in pending]
+        for i, g, (connected, bad, odd) in zip(pending, drawn, _verdicts(drawn)):
             tries[i] += 1
-            if i in accepted or tries[i] == _ATTEMPTS:
-                factors[i].append(accepted.get(i))
+            accepted = None
+            if connected:
+                rng = rngs[i]
+                if rng.random() < 0.5:
+                    zeta = [rng.choice((1, -1)) for _ in range(g.n)]
+                    # The edges of a valid graph, with signs +1 or -1: trusted as they are.
+                    accepted = (SignedGraph._trusted(g.n, tuple((u, v, zeta[u] * zeta[v]) for u, v, _ in g.edges)), odd)
+                elif not bad:
+                    accepted = (g, odd)
+            if accepted or tries[i] == _ATTEMPTS:
+                factors[i].append(accepted)
                 tries[i] = 0
         pending = [i for i in pending if len(factors[i]) < 2]
     return factors
@@ -330,8 +351,13 @@ def _tensor_edges(firsts: list[SignedGraph], seconds: list[SignedGraph]) -> np.n
 @dataclass(frozen=True)
 class ConjectureCandidate:
     """A compatible factor pair whose connected tensor product came out
-    incompatible, with every offending pair certified by a positive and a
-    negative shortest path checked against an unsigned BFS."""
+    incompatible, with every offending pair of the product.
+
+    The pairs are read from distance tables that passed the table
+    certificate against the Kronecker form np.kron(S1, S2) of the factors'
+    signed adjacency matrices, which proves the list both sound and
+    complete; the factors' own tables passed it too, with no pair of both
+    signs."""
 
     trial: int
     g1: SignedGraph
@@ -353,19 +379,20 @@ def conjecture_search(
     tensor product (smallest example: all-positive K2 with K4 carrying one
     negative edge, where same-fiber product paths ride length-2 walks of
     the second factor that its compatibility does not constrain).  Each
-    reported pair is certified by two opposite-sign shortest paths checked
-    against an unsigned BFS; a failed certificate raises RuntimeError
-    naming the pair.  Trials run in windows of `_WINDOW`: both factors of
+    reported product and both its factors are certified by
+    `distance._certified_tables`; a failed certificate raises RuntimeError
+    naming a pair.  Trials run in windows of `_WINDOW`: both factors of
     the window's trials are drawn in one lockstep of rounds
-    (`_sample_factor_pairs`), and its products are built as edge arrays and
-    decided on the bitsets of the all-sources pass
-    (`_incompatible_products`); a product becomes a `SignedGraph`, and gets
-    distance arrays, sorted pairs and certificates, only when it has an
-    incompatible pair.  Deterministic for a fixed
-    seed: trial t uses its own RNG stream seeded by (seed, t), consumed as
-    if the trial ran alone, so results do not depend on the windows.
-    Raises ValueError when trials is negative or max_n is below 2, the
-    smallest factor order.
+    (`_sample_factor_pairs`), each round's draws judged by one all-sources
+    pass, and its products are built as edge arrays and decided on the
+    bitsets of the all-sources pass (`_incompatible_products`); a product
+    gets distance tables, sorted pairs and a certificate only when it has
+    an incompatible pair, and the window's candidates get their factors
+    certified in one more pass (`_certify_factors`).  Deterministic for a
+    fixed seed: trial t uses its own RNG stream seeded by (seed, t),
+    consumed as if the trial ran alone, so results do not depend on the
+    windows.  Raises ValueError when trials is negative or max_n is below
+    2, the smallest factor order.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -376,11 +403,13 @@ def conjecture_search(
         window = range(start, min(start + _WINDOW, trials))
         rngs = [random.Random(f"{seed}:{t}") for t in window]
         pairs = [
-            (t, g1, g2)
-            for t, (g1, g2) in zip(window, _sample_factor_pairs(rngs, max_n))
-            if g1 is not None and g2 is not None and (has_odd_cycle(g1) or has_odd_cycle(g2))
+            (t, f1[0], f2[0])
+            for t, (f1, f2) in zip(window, _sample_factor_pairs(rngs, max_n))
+            if f1 and f2 and (f1[1] or f2[1])
         ]
-        out += _incompatible_products(pairs)
+        found = _incompatible_products(pairs)
+        _certify_factors(found)
+        out += found
     return out
 
 
@@ -389,25 +418,48 @@ def _incompatible_products(pairs: list[tuple[int, SignedGraph, SignedGraph]]) ->
 
     The products are cut by `_batches` from their orders n1*n2 and sizes
     2*m1*m2 before any is built; each cut is built by `_tensor_edges` and
-    decided by one run of the all-sources pass.  A flagged product's
-    distances are sliced out of that run, and only it becomes a
-    `SignedGraph`, through `tensor`, against which its pairs are certified.
+    decided by one run of the all-sources pass.  The products that run
+    flags, or leaves unreached, have their columns sliced out of it and
+    their tables certified together by `_certified_tables`, against
+    np.kron(S1, S2) of each, built from the factors alone; the pairs are
+    read from the certified tables.
     """
     orders = [g1.n * g2.n for _, g1, g2 in pairs]
     sizes = [2 * g1.m * g2.m for _, g1, g2 in pairs]
     out = []
     for cut in _batches(orders, sizes):
-        part = pairs[cut]
-        bits = _edge_bitsets(
-            orders[cut], _tensor_edges([g1 for _, g1, _ in part], [g2 for _, _, g2 in part]), sizes[cut]
-        )
-        offset = 0
-        for (t, g1, g2), n, bad in zip(part, orders[cut], _flags(bits, orders[cut])):
-            if bad:
-                sd = _assemble(bits, offset, n)
-                bad_pairs = _sorted_pairs(sd)
-                # Called for the certificate alone: it raises on a pair it cannot certify.
-                _opposite_paths(tensor(g1, g2), sd, bad_pairs)
-                out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(bad_pairs)))
-            offset += n
+        part, n_cut = pairs[cut], orders[cut]
+        bits = _edge_bitsets(n_cut, _tensor_edges([g1 for _, g1, _ in part], [g2 for _, _, g2 in part]), sizes[cut])
+        keep = [i for i, (bad, whole) in enumerate(zip(_flags(bits, n_cut), _reached(bits, n_cut))) if bad or not whole]
+        if not keep:
+            continue
+        offsets = np.cumsum(n_cut) - n_cut
+        cols = np.concatenate([np.arange(offsets[i], offsets[i] + n_cut[i]) for i in keep])
+        pos, neg, planes = bits
+        flagged = (pos[:, cols], neg[:, cols], [plane[:, cols] for plane in planes])
+        rows = [_matrix_edges(np.kron(_signed_adjacency(part[i][1]), _signed_adjacency(part[i][2]))) for i in keep]
+        half = _half_edges(np.concatenate(rows), [n_cut[i] for i in keep], [len(r) for r in rows])
+        for i, sd in zip(keep, _certified_tables(flagged, [n_cut[i] for i in keep], half)):
+            t, g1, g2 = part[i]
+            out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(_sorted_pairs(sd))))
     return out
+
+
+def _certify_factors(candidates: list[ConjectureCandidate]) -> None:
+    """Raise RuntimeError naming a pair unless both factors of every
+    candidate are connected and compatible.
+
+    The factors run through one all-sources pass per cut of `_batches`;
+    their tables must pass `_certified_tables` against their edges and hold
+    no pair with shortest paths of both signs.
+    """
+    graphs = [g for c in candidates for g in (c.g1, c.g2)]
+    orders, sizes = [g.n for g in graphs], [g.m for g in graphs]
+    for cut in _batches(orders, sizes):
+        edges = _edge_rows(graphs[cut])
+        bits = _edge_bitsets(orders[cut], edges, sizes[cut])
+        tables = _certified_tables(bits, orders[cut], _half_edges(edges, orders[cut], sizes[cut]))
+        for i, sd in zip(range(cut.start, cut.stop), tables):
+            if sd.incompatible.any():
+                (u, v), c = _sorted_pairs(sd)[0], candidates[i // 2]
+                raise RuntimeError(f"pair ({u},{v}): factor g{i % 2 + 1} of trial {c.trial} has shortest paths of both signs")

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import SignedGraph
-from .distance import SignedDistances, signed_distances
+from .distance import SignedDistances, _signed_adjacency, signed_distances
 
 __all__ = [
     "IntPolynomial",
@@ -279,11 +279,7 @@ def kron(a, b) -> np.ndarray:
 
 def adjacency_matrix(g: SignedGraph) -> np.ndarray:
     """Signed adjacency matrix as int64."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v, s in g.edges:
-        a[u, v] = s
-        a[v, u] = s
-    return a
+    return _signed_adjacency(g).astype(np.int64)
 
 
 def compatible_distance_matrix(g: SignedGraph) -> np.ndarray:

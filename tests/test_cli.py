@@ -242,19 +242,34 @@ def test_conjecture_smoke(capsys, tmp_path):
         assert (tmp_path / f"candidate_{t}.json").exists()
 
 
-def test_conjecture_golden(capsys, tmp_path):
-    # Pins the bytes of stdout and of every candidate file.  The manifest
-    # lists each outdir file as "<name> <sha256>" in name order.
+def conjecture_hashes(capsys, tmp_path, trials, max_n):
+    """sha256 of stdout, the number of outdir files and the sha256 of their
+    manifest, which lists each file as "<name> <sha256>" in name order."""
     code, out, err = invoke(
-        capsys, "conjecture", "--trials", "300", "--max-n", "7", "--seed", "1", "--outdir", str(tmp_path),
+        capsys, "conjecture", "--trials", str(trials), "--max-n", str(max_n), "--seed", "1", "--outdir", str(tmp_path),
     )
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == "f7fc2686c5a033e070def96b5cad5fe216e88c3d8a3a5e94b7971d44efa9e86c"
     files = sorted(tmp_path.iterdir())
-    assert len(files) == 75
     manifest = "".join(f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in files)
-    assert hashlib.sha256(manifest.encode()).hexdigest() == (
-        "f599c9882f707441221e2f56d7a080cdada7fda66d7be0a05ee44fbea52306e1"
+    return hashlib.sha256(out.encode()).hexdigest(), len(files), hashlib.sha256(manifest.encode()).hexdigest()
+
+
+def test_conjecture_golden(capsys, tmp_path):
+    # Pins the bytes of stdout and of every candidate file.
+    assert conjecture_hashes(capsys, tmp_path, 300, 7) == (
+        "f7fc2686c5a033e070def96b5cad5fe216e88c3d8a3a5e94b7971d44efa9e86c",
+        75,
+        "f599c9882f707441221e2f56d7a080cdada7fda66d7be0a05ee44fbea52306e1",
+    )
+
+
+def test_conjecture_golden_large_products(capsys, tmp_path):
+    # Products of up to 144 vertices span three source words of the pass
+    # and fall into several cuts of a window.
+    assert conjecture_hashes(capsys, tmp_path, 300, 12) == (
+        "8bb3a28a31fe894c3a8806a62004a78b3ced12e9d2bdccd336d229b7cfbb062f",
+        39,
+        "0c883a7033fa02585611fa0178fb046a99dcb58c622b200d1a527b4dc8b2abec",
     )
 
 

@@ -459,6 +459,89 @@ def test_batch_with_a_disconnected_graph_is_refused():
             _incompatible_flags(batch)
 
 
+# Every public route to the all-sources pass, each of which must refuse a
+# disconnected graph with the one message.
+PUBLIC_PASS_ROUTES = (
+    sg.signed_distances,
+    lambda g: sg.distance_matrix(g, "max"),
+    lambda g: sg.distance_matrix(g, "min"),
+    sg.incompatible_pairs,
+    sg.is_compatible,
+    sg.least_incompatible_witness,
+    sg.associated_complete,
+    sg.compatible_distance_matrix,
+)
+
+SPLIT = sg.SignedGraph.from_edges(6, [(0, 1, 1), (1, 2, -1), (3, 4, 1), (4, 5, 1)])
+# Connected and disconnected graphs side by side: vertices of degree 0 at
+# either end, an edgeless pair, K1, and components in a later source word.
+MIXED_BATCH = [
+    C4_ONE_NEG,
+    sg.SignedGraph(3, ((1, 2, -1),)),
+    K1,
+    sg.SignedGraph(2, ()),
+    C70,
+    SPLIT,
+    sg.SignedGraph.from_edges(66, [(v, v + 1, (-1) ** v) for v in range(64)]),
+    sg.complete_graph(5, -1),
+    sg.SignedGraph.from_edges(130, [(v, v + 1, 1) for v in range(129) if v != 100]),
+    sg.petersen_signing([(-1) ** (i // 2) for i in range(15)]),
+]
+
+
+def batch_run(batch):
+    orders = [g.n for g in batch]
+    edges = distance._edge_rows(batch)
+    return orders, edges, distance._edge_bitsets(orders, edges, [g.m for g in batch])
+
+
+def assert_batch_matches_each_graph_alone(batch):
+    """One pass over the batch: its reach per graph is `is_connected`, its
+    odd-cycle flag on a connected graph is `has_odd_cycle`, and a connected
+    graph's bitsets equal those of its run alone, with any further distance
+    planes empty on its columns."""
+    orders, edges, bits = batch_run(batch)
+    connected = [sg.is_connected(g) for g in batch]
+    assert distance._reached(bits, orders) == connected
+    odd = distance._odd_cycles(bits, orders, edges, [g.m for g in batch])
+    pos, neg, planes = bits
+    offset = 0
+    for g, whole, odd_g in zip(batch, connected, odd):
+        cols = np.s_[offset : offset + g.n]
+        offset += g.n
+        if not whole:
+            continue
+        assert odd_g == sg.has_odd_cycle(g)
+        alone = _signed_bitsets([g])
+        for a, b in zip((pos, neg, *planes), (*alone[:2], *alone[2])):
+            assert np.array_equal(a[: b.shape[0], cols], b)
+            assert not a[b.shape[0] :, cols].any()
+        assert len(planes) >= len(alone[2])
+        assert not any(a[:, cols].any() for a in planes[len(alone[2]) :])
+
+
+def test_pass_reports_reach_on_a_mixed_batch():
+    assert_batch_matches_each_graph_alone(MIXED_BATCH)
+    assert_batch_matches_each_graph_alone(MIXED_BATCH[::-1])
+    for g in MIXED_BATCH:
+        if not sg.is_connected(g):
+            for route in PUBLIC_PASS_ROUTES + PASS_ROUTES:
+                with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
+                    route(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(connected_signed_graphs(), signed_graphs()), min_size=1, max_size=8))
+def test_pass_reports_reach_on_random_batches(batch):
+    assert_batch_matches_each_graph_alone(batch)
+
+
+@pytest.mark.parametrize("bound", [1, 64])
+def test_pass_reports_reach_when_the_words_run_in_blocks(monkeypatch, bound):
+    monkeypatch.setattr(distance, "_GATHER_WORDS", bound)
+    assert_batch_matches_each_graph_alone(MIXED_BATCH)
+
+
 # -- distance matrices --------------------------------------------------------
 
 def test_distance_matrix_k2_negative():

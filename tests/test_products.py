@@ -452,7 +452,7 @@ def test_certificate_refuses_a_step_off_the_graph():
     # negative sign; its step 3-2 is not an edge of g.
     g = sg.SignedGraph(5, ((0, 1, 1), (0, 3, -1), (1, 2, 1), (3, 4, 1)))
     with pytest.raises(RuntimeError, match=r"^pair \(0,2\): path \[0, 3, 2\] of sign -1 fails"):
-        distance._certify_paths(g, [(0, 2)], [([0, 1, 2], [0, 3, 2])])
+        distance._certify_paths(g, sg.signed_distances(g), [(0, 2)], [([0, 1, 2], [0, 3, 2])])
 
 
 def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
@@ -462,9 +462,16 @@ def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
     # corrupted: the factors still pass an honest check.  A product has at
     # most 36 vertices, so its sources fit in word 0.
     max_n = 6
+    product_rows = []
+
+    def tensor_edges(firsts, seconds):
+        product_rows.append(real_tensor_edges(firsts, seconds))
+        return product_rows[-1]
 
     def corrupt(orders, edges, sizes):
         pos, neg, planes = distance._edge_bitsets(orders, edges, sizes)
+        if not any(edges is rows for rows in product_rows):
+            return pos, neg, planes
         for n, offset in zip(orders, np.cumsum(orders) - orders):
             u, v = next(
                 (u, v) for u in range(n) for v in range(n)
@@ -474,17 +481,29 @@ def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
             neg[0, offset + v] |= np.uint64(1 << u)
         return pos, neg, planes
 
+    real_tensor_edges = products._tensor_edges
+    monkeypatch.setattr(products, "_tensor_edges", tensor_edges)
     monkeypatch.setattr(products, "_edge_bitsets", corrupt)
     with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\)"):
         sg.conjecture_search(40, max_n=max_n, seed=123)
 
 
 def replay_factor(rng, max_n):
-    """One factor of a conjecture-search stream, drawn alone: `_draw_factor`
-    until `is_compatible` accepts, at most `_ATTEMPTS` times."""
+    """One factor of a conjecture-search stream, drawn alone and one draw at
+    a time, through the public graph routes: a signed G(n, p), refused when
+    disconnected; then, on a coin, the signs zeta(u)zeta(v) of a random
+    vertex signing; accepted when `is_compatible`, after at most
+    `_ATTEMPTS` draws."""
     for _ in range(products._ATTEMPTS):
-        g = products._draw_factor(rng, max_n)
-        if g is not None and sg.is_compatible(g):
+        n = rng.randint(2, max_n)
+        p = rng.uniform(0.35, 0.9)
+        g = sg.random_signed_gnp(n, p, rng)
+        if not sg.is_connected(g):
+            continue
+        if rng.random() < 0.5:
+            zeta = [rng.choice((1, -1)) for _ in range(n)]
+            g = sg.SignedGraph(n, tuple((u, v, zeta[u] * zeta[v]) for u, v, _ in g.edges))
+        if sg.is_compatible(g):
             return g
     return None
 
@@ -612,3 +631,249 @@ def test_all_negative_triangles_tensor_compatible():
     assert sg.is_compatible(c3n)
     assert sg.tensor_is_connected(c3n, c3n)
     assert sg.is_compatible(sg.tensor(c3n, c3n))
+
+
+# -- the table certificate ----------------------------------------------------
+
+def signed_matrix(g):
+    """The signed adjacency matrix of g, entry by entry from its edges."""
+    a = np.zeros((g.n, g.n), dtype=int)
+    for u, v, s in g.edges:
+        a[u, v] = a[v, u] = s
+    return a
+
+
+def product_run(pairs):
+    """One pass over the `_tensor_edges` rows of the products of the factor
+    pairs, as the search runs it: their orders and bitsets."""
+    orders = [g1.n * g2.n for g1, g2 in pairs]
+    rows = products._tensor_edges([g1 for g1, _ in pairs], [g2 for _, g2 in pairs])
+    return orders, distance._edge_bitsets(orders, rows, [2 * g1.m * g2.m for g1, g2 in pairs])
+
+
+def matrix_half_edges(adjs):
+    """`_half_edges` of a batch of graphs given by signed adjacency matrices."""
+    rows = [distance._matrix_edges(a) for a in adjs]
+    return distance._half_edges(np.concatenate(rows), [len(a) for a in adjs], [len(r) for r in rows])
+
+
+def kron_half_edges(pairs):
+    return matrix_half_edges([np.kron(signed_matrix(g1), signed_matrix(g2)) for g1, g2 in pairs])
+
+
+def corrupted_copies(sd, rng, count):
+    """`count` copies of sd, each with one entry of one table changed: a
+    distance by +1 or -1, or a positive or negative bit flipped."""
+    n = len(sd.dist)
+    for _ in range(count):
+        arrays = {"dist": sd.dist.copy(), "pos": sd.pos.copy(), "neg": sd.neg.copy()}
+        u, v = rng.randrange(n), rng.randrange(n)
+        kind = rng.choice(("dist+", "dist-", "pos", "neg"))
+        if kind.startswith("dist"):
+            arrays["dist"][u, v] += 1 if kind == "dist+" else -1
+        else:
+            arrays[kind][u, v] ^= True
+        yield sg.SignedDistances(**arrays)
+
+
+def changed_cell(bits, col, source, kind):
+    """A copy of a pass's bitsets with cell (column, source) changed: its
+    distance by +1 or -1 through the planes, or its positive or negative
+    bit flipped."""
+    pos, neg, planes = bits[0].copy(), bits[1].copy(), [p.copy() for p in bits[2]]
+    w, bit = divmod(source, 64)
+    if kind in ("pos", "neg"):
+        a = pos if kind == "pos" else neg
+        a[w, col] ^= np.uint64(1 << bit)
+        return pos, neg, planes
+    d = sum((int(p[w, col]) >> bit & 1) << k for k, p in enumerate(planes)) + (1 if kind == "dist+1" else -1)
+    while d >> len(planes):
+        planes.append(np.zeros_like(pos))
+    for k, p in enumerate(planes):
+        p[w, col] = p[w, col] & ~np.uint64(1 << bit) | np.uint64((d >> k & 1) << bit)
+    return pos, neg, planes
+
+
+def dropped_edges(adj):
+    """Copies of adj, each without one of its edges."""
+    for u, v in zip(*np.nonzero(np.triu(adj))):
+        a = adj.copy()
+        a[u, v] = a[v, u] = 0
+        yield a
+
+
+NON_BIPARTITE_PAIRS = st.tuples(connected_factors(), connected_factors()).filter(
+    lambda p: sg.has_odd_cycle(p[0]) or sg.has_odd_cycle(p[1])
+)
+K4_ONE_NEG = sg.complete_graph(4, 1).with_signs([1, 1, 1, 1, -1, 1])
+CELL_CHANGES = ("dist+1", "dist-1", "pos", "neg")
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_factors(min_n=1, max_n=12))
+@example(K1)
+def test_row_certificate_accepts_the_pass_on_connected_graphs(g):
+    sd = sg.signed_distances(g)
+    half = matrix_half_edges([signed_matrix(g)])
+    distance._certify_tables(half, sd, range(g.n))
+    distance._certify_tables(half, sd, list(dict.fromkeys([g.n - 1, 0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(NON_BIPARTITE_PAIRS, min_size=1, max_size=4))
+@example([(K2P, K4_ONE_NEG)])
+@example([(K2N, C3P), (C3P, C4_MIXED), (K2P, K4_ONE_NEG)])
+def test_batch_certificate_accepts_the_pass_on_tensor_products(pairs):
+    # Every product of the batch passes against np.kron(S1, S2), and its
+    # certified tables are those of the product built as a graph.
+    orders, bits = product_run(pairs)
+    tables = distance._certified_tables(bits, orders, kron_half_edges(pairs))
+    for (g1, g2), sd in zip(pairs, tables):
+        want = sg.signed_distances(sg.tensor(g1, g2))
+        for a, b in zip((sd.dist, sd.pos, sd.neg), (want.dist, want.pos, want.neg)):
+            assert np.array_equal(a, b) and not a.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(connected_factors(min_n=2, max_n=9), NON_BIPARTITE_PAIRS), st.randoms(use_true_random=False))
+@example((K2P, K4_ONE_NEG), random.Random(0))
+def test_row_certificate_refuses_each_single_corruption(graphs, rng):
+    # One changed entry of one table, or one edge missing from the matrix.
+    if isinstance(graphs, tuple):
+        adj, sd = np.kron(signed_matrix(graphs[0]), signed_matrix(graphs[1])), sg.signed_distances(sg.tensor(*graphs))
+    else:
+        adj, sd = signed_matrix(graphs), sg.signed_distances(graphs)
+    rows = range(len(adj))
+    for bad in corrupted_copies(sd, rng, 8):
+        with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\): "):
+            distance._certify_tables(matrix_half_edges([adj]), bad, rows)
+    for bad in dropped_edges(adj):
+        with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\): "):
+            distance._certify_tables(matrix_half_edges([bad]), sd, rows)
+
+
+def test_row_certificate_checks_only_the_rows_asked_for():
+    sd = sg.signed_distances(C4_MIXED)
+    neg = sd.neg.copy()
+    neg[2, 0] ^= True
+    bad = sg.SignedDistances(dist=sd.dist, pos=sd.pos, neg=neg)
+    half = matrix_half_edges([signed_matrix(C4_MIXED)])
+    distance._certify_tables(half, bad, [0, 1, 3])
+    with pytest.raises(RuntimeError, match=r"^pair \(2,0\): "):
+        distance._certify_tables(half, bad, [2])
+
+
+@pytest.mark.parametrize("kind", CELL_CHANGES)
+def test_batch_certificate_refuses_each_changed_cell(kind):
+    # Every cell of every product in a batch, one at a time; a product of
+    # 72 vertices puts sources in a second word.
+    pairs = [(K2P, K4_ONE_NEG), (K2N, C3P), (sg.cycle_graph(8, [1] * 7 + [-1]), sg.complete_graph(9, -1))]
+    orders, bits = product_run(pairs)
+    half = kron_half_edges(pairs)
+    distance._certified_tables(bits, orders, half)
+    offset = 0
+    rng = random.Random(kind)
+    for n in orders:
+        cells = [(v, u) for v in range(n) for u in range(n)]
+        for v, u in cells if n < 20 else rng.sample(cells, 40):
+            if kind == "dist-1" and u == v:
+                continue
+            with pytest.raises(RuntimeError, match=rf"^pair \(\d+,\d+\): "):
+                distance._certified_tables(changed_cell(bits, offset + v, u, kind), orders, half)
+        offset += n
+
+
+def test_batch_certificate_refuses_each_dropped_edge():
+    pairs = [(K2N, C3P), (K2P, K4_ONE_NEG)]
+    orders, bits = product_run(pairs)
+    for i, (g1, g2) in enumerate(pairs):
+        for bad in dropped_edges(np.kron(signed_matrix(g1), signed_matrix(g2))):
+            adjs = [np.kron(signed_matrix(a), signed_matrix(b)) for a, b in pairs]
+            adjs[i] = bad
+            with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\): "):
+                distance._certified_tables(bits, orders, matrix_half_edges(adjs))
+
+
+def drop_first_tensor_row(real):
+    """`_tensor_edges` with the first row of every product overwritten by its
+    second, so the product loses one edge and keeps its row count."""
+    def tensor_edges(firsts, seconds):
+        rows = real(firsts, seconds)
+        starts = np.cumsum([2 * g1.m * g2.m for g1, g2 in zip(firsts, seconds)])[:-1].tolist()
+        for i in [0] + starts:
+            rows[i] = rows[i + 1]
+        return rows
+    return tensor_edges
+
+
+def drop_first_edge(real):
+    """`_signed_adjacency` without the first edge of every graph."""
+    def signed_adjacency(g):
+        adj = real(g)
+        u, v, _ = g.edges[0]
+        adj[u, v] = adj[v, u] = 0
+        return adj
+    return signed_adjacency
+
+
+@pytest.mark.parametrize("name, patch", [("_tensor_edges", drop_first_tensor_row), ("_signed_adjacency", drop_first_edge)])
+def test_conjecture_search_refuses_a_dropped_edge(monkeypatch, name, patch):
+    # A product built without one of its edges, or a matrix S without one.
+    assert sg.conjecture_search(40, max_n=6, seed=123)
+    monkeypatch.setattr(products, name, patch(getattr(products, name)))
+    with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\): "):
+        sg.conjecture_search(40, max_n=6, seed=123)
+
+
+@pytest.mark.parametrize("kind", CELL_CHANGES)
+def test_conjecture_search_refuses_a_changed_cell(monkeypatch, kind):
+    # One cell changed in every product of each products' pass, at vertex 1
+    # from source 1, so the distance is 0 there and the sign positive.
+    product_rows = []
+    real_tensor_edges = products._tensor_edges
+
+    def tensor_edges(firsts, seconds):
+        product_rows.append(real_tensor_edges(firsts, seconds))
+        return product_rows[-1]
+
+    def change(orders, edges, sizes):
+        bits = distance._edge_bitsets(orders, edges, sizes)
+        if any(edges is rows for rows in product_rows):
+            for offset in (np.cumsum(orders) - orders).tolist():
+                bits = changed_cell(bits, offset + 1, 1 if kind != "dist-1" else 0, kind)
+        return bits
+
+    monkeypatch.setattr(products, "_tensor_edges", tensor_edges)
+    monkeypatch.setattr(products, "_edge_bitsets", change)
+    with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\): "):
+        sg.conjecture_search(40, max_n=6, seed=123)
+
+
+def test_conjecture_search_certifies_the_factors(monkeypatch):
+    # A sampler that takes every connected draw for compatible lets
+    # incompatible factors through; their products are genuinely
+    # incompatible and pass, so only the factors' certificate refuses them.
+    real = products._verdicts
+    monkeypatch.setattr(products, "_verdicts", lambda graphs: [(c, False, o) for c, _, o in real(graphs)])
+    with pytest.raises(
+        RuntimeError, match=r"^pair \(\d+,\d+\): factor g[12] of trial \d+ has shortest paths of both signs$"
+    ):
+        sg.conjecture_search(40, max_n=7, seed=123)
+
+
+def test_search_and_witness_run_no_python_bfs(monkeypatch):
+    from sgdist import core
+
+    want = sg.conjecture_search(300, max_n=7, seed=1)
+    prod = sg.tensor(K2P, K4_ONE_NEG)
+    witness = sg.least_incompatible_witness(prod)
+
+    def refuse(*args):
+        raise AssertionError("a Python BFS was called")
+
+    for module in (core, distance, products):
+        for name in ("_bfs_dist", "is_connected", "has_odd_cycle"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert sg.conjecture_search(300, max_n=7, seed=1) == want
+    assert sg.least_incompatible_witness(prod) == witness
