@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SignedGraph, _SIGN_TOKENS, _check_sign
-from .distance import _assemble, _signed_bitsets
+from .distance import _connected_run
 from .spectra import IntPolynomial, _compatible_matrix, char_poly_batch
 
 __all__ = [
@@ -239,12 +239,10 @@ def _representative_keys(codes: np.ndarray) -> np.ndarray:
 def _distance_matrices(codes: list[int]) -> np.ndarray:
     """The stacked distance matrices D of the signings with these codes.
 
-    All come from one run of the all-sources pass over the batch of
-    signings, each sliced out of it by `_assemble`; ValueError if one is
-    incompatible.
+    All come from the tables of one run of the all-sources pass over the
+    batch of signings; ValueError if one is incompatible.
     """
-    bits = _signed_bitsets([_signing(c) for c in codes])
-    return np.stack([_compatible_matrix(_assemble(bits, 10 * i, 10)) for i in range(len(codes))])
+    return np.stack([_compatible_matrix(sd) for sd in _connected_run([_signing(c) for c in codes]).tables()])
 
 
 def enumerate_petersen_signings() -> PetersenClassTable:

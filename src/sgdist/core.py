@@ -76,15 +76,17 @@ class SignedGraph:
     def __post_init__(self):
         _check_order(self.n)
         # Checked before sorting: sorting a malformed triple raises TypeError.
+        # The checks' plain ints are stored, so floats, bools and numpy
+        # scalars never reach `edges`, and the tuples hash by value.
+        checked = []
         for u, v, s in self.edges:
-            _check_ends(u, v)
+            u, v = _check_ends(u, v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            _check_sign(s)
-        # Tuples, whatever sequences the triples came as: the graph hashes by value.
-        edges = tuple(map(tuple, sorted(self.edges)))
+            checked.append((u, v, _check_sign(s)))
+        edges = tuple(sorted(checked))
         for (u, v, _), (x, y, _) in pairwise(edges):
             if u == x and v == y:
                 raise ValueError(f"duplicate edge ({u},{v})")
@@ -109,7 +111,7 @@ class SignedGraph:
         oriented = []
         for u, v, s in edges:
             u, v = _check_ends(u, v)
-            oriented.append((min(u, v), max(u, v), int(s)))
+            oriented.append((min(u, v), max(u, v), s))
         return cls(n, tuple(oriented))
 
     @property

@@ -13,26 +13,30 @@ level is one numpy gather and reduction over all edges.  The run takes a
 batch of graphs as one disjoint union, given as orders, edge counts and one
 `(u, v, sign)` edge array, so the conjecture search decides a whole round
 of small graphs, or a window's tensor products built as arrays, in one run;
-`_signed_bitsets` reads a list of graphs into that array, and a single
-graph is a batch of one.  `_batches` cuts graph lists and array products
-alike by the same bound on the gathered words.
+a single graph is a batch of one.  `_batches` cuts graph lists and array
+products alike by the same bound on the gathered words.
 
-Compatibility is decided on those bitsets alone (`_flags`,
-`_incompatible_flags`), and so are connectivity (`_reached`) and odd cycles
-(`_odd_cycles`): the pass does not raise on a disconnected graph, its
-callers that need a connected one do.  `_assemble` unpacks one graph's
-slice of them into numpy arrays only for callers that read matrices or
-pairs (both matrices, the incompatible pairs, the associated complete
-graph, witnesses and the Petersen census).
+`_Run` holds one run, built from that array or from a list of graphs, and
+is the only reader of its words, so no other module knows where a graph's
+columns start.  Per graph it reads connectivity (`reached`), compatibility
+(`flags`) and odd cycles (`odd_cycles`) off the bitsets alone, and
+`tables` unpacks the words of the graphs asked for into `SignedDistances`,
+only for callers that read matrices or pairs (both matrices, the
+incompatible pairs, the associated complete graph, witnesses, the Petersen
+census and the conjecture search's reported products).  The pass does not
+raise on a disconnected graph; `_connected_run` does, for the callers that
+need a connected one.
 
 The table certificate (`_table_faults`) checks distance and sign tables
-against a signed adjacency matrix by local rules, vectorised over the
-half-edges: each source's distances form a shortest-path potential and its
-signs follow the signed BFS recurrence, which proves the incompatible
-pairs sound and complete.  `_certified_tables` certifies every graph of a
-batch run at once (the conjecture search's products and factors);
-`_certify_tables` certifies chosen rows of one graph's tables (the rows of
-witness paths, whose steps are checked against the same matrix).
+against a graph's `(u, v, sign)` edge rows by local rules, vectorised over
+the half-edges: each source's distances form a shortest-path potential and
+its signs follow the signed BFS recurrence, which proves the incompatible
+pairs sound and complete.  `_certify` drives it over `(vertex, source)`
+tables: every source of a batch, when `_Run.tables` is given edge rows to
+check against (the conjecture search's products and factors), or chosen
+sources of one graph (row u of a witness, whose path steps are checked
+against the same edges).
+
 `signed_bfs` and `brute_force_summary` remain as reference routes for
 tests and demos; both take their hop distances from `core._bfs_dist`, so
 this module runs no BFS loop of its own besides the all-sources pass.
@@ -165,29 +169,15 @@ _GATHER_WORDS = 1 << 20
 _U64 = np.dtype("<u8")
 
 
-# `(pos, neg, planes)` of one run of the all-sources pass: see `_edge_bitsets`.
-_Bitsets = tuple[np.ndarray, np.ndarray, list[np.ndarray]]
-
-
 def _edge_rows(graphs: Sequence[SignedGraph]) -> np.ndarray:
     """The `(u, v, sign)` rows of the graphs' edges, graph after graph, as one intp array."""
     count = 3 * sum(g.m for g in graphs)
     return np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)), np.intp, count).reshape(-1, 3)
 
 
-def _signed_bitsets(graphs: Sequence[SignedGraph]) -> _Bitsets:
-    """`_edge_bitsets` of a batch of graphs, their edges read into one array.
-
-    Raises ValueError when a graph of the batch is disconnected.
-    """
-    orders = [g.n for g in graphs]
-    bits = _edge_bitsets(orders, _edge_rows(graphs), [g.m for g in graphs])
-    if not all(_reached(bits, orders)):
-        raise ValueError(_DISCONNECTED)
-    return bits
-
-
-def _edge_bitsets(orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]) -> _Bitsets:
+def _edge_bitsets(
+    orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """The all-sources level loop over a batch of graphs, as bitsets of sources.
 
     Graph i of the batch has `orders[i]` vertices and the next `sizes[i]`
@@ -214,7 +204,7 @@ def _edge_bitsets(orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]
 
     A run stops at the first level that reaches nothing new, so it also
     ends on a disconnected graph: there a vertex unreached from a source
-    has neither of its sign bits, which `_reached` reads per graph.
+    has neither of its sign bits, which `_Run.reached` reads per graph.
 
     The frontier is one `(W, 2N + 1)` array: positive columns, negative
     columns and a column that stays 0.  A level is one gather of it along a
@@ -301,74 +291,111 @@ def _batches(orders: Sequence[int], sizes: Sequence[int]) -> Iterator[slice]:
         yield slice(start, len(orders))
 
 
-def _reached(bits: _Bitsets, orders: Sequence[int]) -> list[bool]:
-    """Per graph of a batch, whether its source 0 reached every vertex: whether it is connected."""
-    pos, neg, _ = bits
-    return np.logical_and.reduceat((pos[0] | neg[0]) & np.uint64(1) != 0, np.cumsum(orders) - orders).tolist()
+class _Run:
+    """One run of `_edge_bitsets` over a batch of graphs, and every reading of it.
 
-
-def _odd_cycles(bits: _Bitsets, orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]) -> list[bool]:
-    """Per connected graph of a batch, as laid out for `_edge_bitsets`, whether it has an odd cycle.
-
-    A connected graph has one iff some edge joins two vertices at the same
-    distance parity from vertex 0: bit 0 (source 0) of the distance plane 0.
+    Built as `_Run(orders, edges, sizes)`, with the batch laid out as
+    `_edge_bitsets` takes it, or as `_Run.of(graphs)`.  `pos`, `neg` and
+    `planes` are the run's `(W, N)` words and `starts` the column of each
+    graph's vertex 0; the readings below are the only code that slices them.
     """
-    _, _, planes = bits
-    parity = planes[0][0] & np.uint64(1) if planes else np.zeros(sum(orders), dtype=_U64)
-    ends = edges[:, :2] + np.repeat(np.cumsum(orders) - orders, sizes)[:, None]
-    same = parity[ends[:, 0]] == parity[ends[:, 1]]
-    return (np.bincount(np.repeat(np.arange(len(orders)), sizes), weights=same, minlength=len(orders)) > 0).tolist()
+
+    def __init__(self, orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]):
+        self.orders, self.edges, self.sizes = list(orders), edges, list(sizes)
+        self.starts = np.cumsum(self.orders) - self.orders
+        self.pos, self.neg, self.planes = _edge_bitsets(self.orders, edges, self.sizes)
+
+    @classmethod
+    def of(cls, graphs: Sequence[SignedGraph]) -> _Run:
+        """The run over a batch of graphs, their edges read into one array."""
+        return cls([g.n for g in graphs], _edge_rows(graphs), [g.m for g in graphs])
+
+    def reached(self) -> list[bool]:
+        """Per graph, whether its source 0 reached every vertex: whether it is connected."""
+        return np.logical_and.reduceat((self.pos[0] | self.neg[0]) & np.uint64(1) != 0, self.starts).tolist()
+
+    def flags(self) -> list[bool]:
+        """Per graph, whether `pos & neg` is non-zero on one of its columns:
+        whether some pair has shortest paths of both signs."""
+        return np.logical_or.reduceat((self.pos & self.neg).any(axis=0), self.starts).tolist()
+
+    def odd_cycles(self) -> list[bool]:
+        """Per connected graph, whether it has an odd cycle.
+
+        A connected graph has one iff some edge joins two vertices at the same
+        distance parity from vertex 0: bit 0 (source 0) of the distance plane 0.
+        """
+        parity = self.planes[0][0] & np.uint64(1) if self.planes else np.zeros(len(self.pos[0]), dtype=_U64)
+        ends = self.edges[:, :2] + np.repeat(self.starts, self.sizes)[:, None]
+        same = parity[ends[:, 0]] == parity[ends[:, 1]]
+        count = len(self.orders)
+        return (np.bincount(np.repeat(np.arange(count), self.sizes), weights=same, minlength=count) > 0).tolist()
+
+    def tables(
+        self, keep: Sequence[int] | None = None, check: Sequence[np.ndarray] | None = None
+    ) -> list[SignedDistances]:
+        """The read-only `SignedDistances` of the graphs `keep` (all by
+        default), in that order.
+
+        The kept graphs' columns and their sources' words are unpacked once
+        into `(V, w)` tables, w the largest kept order: cell (v, k) is bit k
+        of column v, the tables from source k of v's graph.  Each graph's
+        arrays are its rows of those tables, so row v holds the tables from
+        every source to v; distances and signs are symmetric, so that is
+        also row v of each matrix.  `check`, when given, holds one
+        `(u, v, sign)` edge array per kept graph, built apart from the run:
+        the tables must first pass `_certify` against those edges, which
+        raises RuntimeError naming the pair of the first faulty cell, in the
+        numbers of its graph.  A certified cell holds the true distance and
+        signs, so certified tables are symmetric.
+        """
+        # All graphs kept: a slice, which spares a single graph's words one
+        # gathered copy.
+        if keep is None:
+            orders, starts, cols = self.orders, self.starts, np.s_[:]
+        else:
+            orders = [self.orders[i] for i in keep]
+            starts = np.cumsum(orders) - orders
+            cols = np.arange(sum(orders)) + np.repeat(self.starts[keep] - starts, orders)
+        width = max(orders)
+        words = -(-width // _WORD)
+
+        def unpack(a: np.ndarray) -> np.ndarray:
+            # Row v holds column v's words; they are little-endian, so its
+            # bytes unpack in source order.
+            rows = np.ascontiguousarray(a[:words].T[cols])
+            return np.unpackbits(rows.view(np.uint8), axis=1, count=width, bitorder="little")
+
+        dist = np.zeros((sum(orders), width), dtype=np.int32)
+        for k, plane in enumerate(self.planes):
+            dist |= np.left_shift(unpack(plane), k, dtype=np.int32)
+        pos, neg = unpack(self.pos), unpack(self.neg)
+        if check is not None:
+            _certify(np.concatenate(check), [len(e) for e in check], orders, np.arange(width), dist, pos, neg)
+        for a in (dist, pos, neg):
+            a.flags.writeable = False
+        out = []
+        for start, n in zip(starts.tolist(), orders):
+            rows = np.s_[start : start + n, :n]
+            out.append(SignedDistances(dist=dist[rows], pos=pos[rows].view(bool), neg=neg[rows].view(bool)))
+        return out
 
 
-def _flags(bits: _Bitsets, orders: Sequence[int]) -> list[bool]:
-    """Per graph of a batch, whether `pos & neg` is non-zero on one of its columns."""
-    pos, neg, _ = bits
-    return np.logical_or.reduceat((pos & neg).any(axis=0), np.cumsum(orders) - orders).tolist()
-
-
-def _incompatible_flags(graphs: Sequence[SignedGraph]) -> list[bool]:
-    """Per graph, whether some pair has shortest paths of both signs.
-
-    Decided per batch of `_batches`, from its run of `_signed_bitsets`.
-    Raises ValueError when a graph is disconnected.
-    """
-    orders = [g.n for g in graphs]
-    flags: list[bool] = []
-    for cut in _batches(orders, [g.m for g in graphs]):
-        flags += _flags(_signed_bitsets(graphs[cut]), orders[cut])
-    return flags
-
-
-def _unpack(words: np.ndarray, n: int) -> np.ndarray:
-    """`(n, n)` uint8 0/1 array whose row v holds bits 0..n-1 of column v of `(W, n)` words."""
-    return np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), axis=1, count=n, bitorder="little")
-
-
-def _assemble(bits: _Bitsets, offset: int, n: int) -> SignedDistances:
-    """The read-only `SignedDistances` of the graph of a batch at columns offset..offset+n-1.
-
-    Its words and columns are sliced out of the batch's bitsets; then one
-    `np.unpackbits` per array, and one shift-OR per distance plane into
-    `dist`.
-    """
-    cols = np.s_[: -(-n // _WORD), offset : offset + n]
-    pos, neg, planes = bits
-    dist = np.zeros((n, n), dtype=np.int32)
-    for k, plane in enumerate(planes):
-        dist |= np.left_shift(_unpack(plane[cols], n), k, dtype=np.int32)
-    out = SignedDistances(dist=dist, pos=_unpack(pos[cols], n).view(bool), neg=_unpack(neg[cols], n).view(bool))
-    for a in (out.dist, out.pos, out.neg):
-        a.flags.writeable = False
-    return out
+def _connected_run(graphs: Sequence[SignedGraph]) -> _Run:
+    """`_Run.of(graphs)`; ValueError when a graph of the batch is disconnected."""
+    run = _Run.of(graphs)
+    if not all(run.reached()):
+        raise ValueError(_DISCONNECTED)
+    return run
 
 
 def signed_distances(g: SignedGraph) -> SignedDistances:
     """Signed all-pairs distances from one BFS run from every source at once.
 
-    The level loop is `_signed_bitsets`; its bitsets are unpacked into the
-    `dist`, `pos` and `neg` arrays.  Raises ValueError on a disconnected graph.
+    The run's bitsets are unpacked into the `dist`, `pos` and `neg` arrays
+    (`_Run.tables`).  Raises ValueError on a disconnected graph.
     """
-    return _assemble(_signed_bitsets([g]), 0, g.n)
+    return _connected_run([g]).tables()[0]
 
 
 def _check_which(which: str) -> str:
@@ -409,7 +436,7 @@ def is_compatible(g: SignedGraph) -> bool:
     built: a pair is incompatible iff its bit is set in both `pos` and `neg`.
     Raises ValueError on a disconnected graph.
     """
-    return not _incompatible_flags([g])[0]
+    return not _connected_run([g]).flags()[0]
 
 
 @dataclass(frozen=True)
@@ -479,8 +506,8 @@ def _certify_paths(
     The steps of all paths are checked in one numpy pass: each is searched
     for among the edge keys u*n + v of the sorted `g.edges`, and a path's
     sign is the parity of its negative steps.  A path's length must equal
-    `sd.dist[u, v]`, and row u of `sd` must pass `_certify_tables` against
-    those same edges, so the length is the hop distance.
+    `sd.dist[u, v]`, and row u of `sd` must pass `_certify` against those
+    same edges, so the length is the hop distance.
     """
     flat = [p for pp in paths for p in pp]
     lengths = np.fromiter(map(len, flat), dtype=np.intp, count=len(flat))
@@ -506,7 +533,9 @@ def _certify_paths(
             f"pair ({u},{v}): path {flat[i]} of sign {target:+d} fails its certificate "
             f"against distance {sd.dist[u, v]}"
         )
-    _certify_tables(_half_edges(edges, [g.n], [g.m]), sd, list(dict.fromkeys(u for u, _ in pairs)))
+    # Row u of each table, read as the tables from source u: the rows the walks read.
+    us = np.array(list(dict.fromkeys(u for u, _ in pairs)))
+    _certify(edges, [g.m], [g.n], us, sd.dist.T[:, us], sd.pos.T[:, us], sd.neg.T[:, us])
 
 
 def _signed_adjacency(g: SignedGraph) -> np.ndarray:
@@ -543,15 +572,15 @@ _SWAP = np.array([0, 2, 1, 3], dtype=np.uint8)
 
 
 def _table_faults(
-    half: tuple[np.ndarray, np.ndarray, np.ndarray], dist: np.ndarray, code: np.ndarray, own: np.ndarray
+    half: tuple[np.ndarray, np.ndarray, np.ndarray], dist: np.ndarray, code: np.ndarray, source: np.ndarray
 ) -> np.ndarray:
     """The cells of distance tables that break the certificate's local rules.
 
     Cell (v, k) of the `(V, K)` arrays claims, for source k of v's graph,
     the hop distance `dist` to v and the sign `code` of the shortest paths
     (bit 0 positive, bit 1 negative).  `half` holds the half-edges as
-    `_half_edges` gives them, and `own[v]` is the column of v's own source,
-    or -1 when v is none of the K sources.  The rules, per column:
+    `_half_edges` gives them, and `source` marks the cells whose vertex is
+    their source.  The rules, per column:
     - `dist` is 0 at the source, and every other vertex is one hop beyond
       its nearest neighbours.  Walking down to a nearest neighbour ends only
       at the source, so `dist` bounds the hop distance from above; it rises
@@ -576,84 +605,48 @@ def _table_faults(
     signs = np.zeros_like(code)
     signs[has] = np.bitwise_or.reduceat(via, starts)
     least += 1
-    at = np.flatnonzero(own >= 0)
-    least[at, own[at]] = 0
-    signs[at, own[at]] = 1
+    least[source] = 0
+    signs[source] = 1
     return (dist != least) | (code != signs)
 
 
-def _table_error(u: int, v: int, dist: int, pos: bool, neg: bool) -> RuntimeError:
-    return RuntimeError(
-        f"pair ({u},{v}): distance {dist}, positive {bool(pos)} and negative {bool(neg)} fail the table certificate"
-    )
-
-
-def _certify_tables(
-    half: tuple[np.ndarray, np.ndarray, np.ndarray], sd: SignedDistances, rows: Sequence[int]
+def _certify(
+    edges: np.ndarray,
+    sizes: Sequence[int],
+    orders: Sequence[int],
+    sources: Sequence[int],
+    dist: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
 ) -> None:
-    """Raise RuntimeError naming the first pair (u, v), u among the distinct
-    `rows` and in their order, whose entries of `sd` fail the certificate of
-    `_table_faults` against the graph of half-edges `half` (`_half_edges`).
+    """Raise RuntimeError naming the pair (source, vertex) of the first cell,
+    in vertex order, of `(vertex, source)` tables that breaks the rules of
+    `_table_faults`.
 
-    Row u of `sd` is read as the tables from source u; the rows run in
+    The `(V, K)` tables cover a batch of graphs laid out as for
+    `_edge_bitsets`: graph i has `orders[i]` vertices and the next `sizes[i]`
+    rows of `edges`.  Cell (v, k) holds the distance and the 0/1 positive and
+    negative bits from source `sources[k]` of v's graph to v; cells whose
+    source is past their graph's order are ignored.  The half-edges are
+    built from the edge rows by `_half_edges`, and the sources run in
     blocks of at most `_CERT_CELLS` gathered cells.
     """
-    n = len(sd.dist)
+    half = _half_edges(edges, orders, sizes)
+    # Per vertex, as a column: its order and its number in its graph.
+    order = np.repeat(orders, orders)[:, None]
+    local = (np.arange(len(dist)) - np.repeat(np.cumsum(orders) - orders, orders))[:, None]
     step = max(1, _CERT_CELLS // max(1, len(half[0])))
-    for j in range(0, len(rows), step):
-        src = np.asarray(rows[j : j + step], dtype=np.intp)
-        own = np.full(n, -1)
-        own[src] = np.arange(len(src))
-        code = sd.pos[src].view(np.uint8) | sd.neg[src].view(np.uint8) << 1
-        bad = _table_faults(half, sd.dist[src].T, code.T, own)
-        if bad.any():
-            k, v = divmod(int(np.argmax(bad.T)), n)
-            u = int(src[k])
-            raise _table_error(u, v, sd.dist[u, v], sd.pos[u, v], sd.neg[u, v])
-
-
-def _certified_tables(
-    bits: _Bitsets, orders: Sequence[int], half: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> list[SignedDistances]:
-    """The read-only `SignedDistances` of every graph of a batch run, once
-    all of them pass the certificate of `_table_faults` at once.
-
-    `half` holds the batch's half-edges from `_half_edges`, built
-    independently of the run.  The run's words are unpacked once into
-    `(N, w)` tables, w the largest order: cell (v, k) is bit k of column v,
-    the tables from source k of v's graph, and the cells past a graph's
-    order are ignored.  Each graph's arrays are then its rows of those
-    tables, transposed, so row u holds the tables from source u.  The
-    sources run in blocks of at most `_CERT_CELLS` gathered cells.  Raises
-    RuntimeError naming the pair of the first faulty cell, in the numbers
-    of its graph.
-    """
-    pos, neg, planes = bits
-    width = max(orders)
-    offsets = np.cumsum(orders) - orders
-    total = offsets[-1] + orders[-1]
-    dist = np.zeros((total, width), dtype=np.int32)
-    for k, plane in enumerate(planes):
-        dist |= np.left_shift(_unpack(plane, width), k, dtype=np.int32)
-    p, q = _unpack(pos, width), _unpack(neg, width)
-    code = p | q << 1
-    local = np.arange(total) - np.repeat(offsets, orders)
-    outside = np.arange(width) >= np.repeat(orders, orders)[:, None]
-    step = max(1, _CERT_CELLS // max(1, len(half[0])))
-    for j in range(0, width, step):
+    for j in range(0, len(sources), step):
+        block = np.asarray(sources[j : j + step])
         cols = np.s_[:, j : j + step]
-        own = np.where((local >= j) & (local < j + step), local - j, -1)
-        bad = _table_faults(half, dist[cols], code[cols], own) & ~outside[cols]
+        code = pos[cols].view(np.uint8) | neg[cols].view(np.uint8) << 1
+        bad = _table_faults(half, dist[cols], code, local == block) & (block < order)
         if bad.any():
             c, k = divmod(int(np.argmax(bad)), bad.shape[1])
-            raise _table_error(j + k, int(local[c]), dist[c, j + k], p[c, j + k], q[c, j + k])
-    for a in (dist, p, q):
-        a.flags.writeable = False
-    out = []
-    for offset, n in zip(offsets.tolist(), orders):
-        rows = np.s_[offset : offset + n, :n]
-        out.append(SignedDistances(dist=dist[rows].T, pos=p[rows].T.view(bool), neg=q[rows].T.view(bool)))
-    return out
+            raise RuntimeError(
+                f"pair ({block[k]},{local[c, 0]}): distance {dist[c, j + k]}, positive {bool(pos[c, j + k])} "
+                f"and negative {bool(neg[c, j + k])} fail the table certificate"
+            )
 
 
 def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:

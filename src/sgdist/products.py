@@ -7,12 +7,13 @@ checks of the product compatibility theorems, and a randomized search for
 tensor-product counterexamples.
 
 The conjecture search runs no Python BFS or path walk per graph.  Each
-sampler round's draws are judged by one all-sources pass (connected,
-compatible, odd cycle).  A window's products are built as edge arrays by
-index arithmetic (`_tensor_edges`), never as graphs, and decided in one
-all-sources pass; an incompatible product's tables from that pass are
-certified against np.kron(S1, S2) of its factors' signed adjacency
-matrices, and the reported factors are certified in one more pass.
+sampler round's draws are judged by one all-sources pass, a `distance._Run`
+(connected, compatible, odd cycle).  A window's products are built as edge
+arrays by index arithmetic (`_tensor_edges`), never as graphs, and decided
+in one run; an incompatible product's tables from that run are certified
+against np.kron(S1, S2) of its factors' signed adjacency matrices, and the
+reported factors are certified in one more run.  The runs slice their own
+words: this module reads only per-graph verdicts and tables from them.
 
 Odd/even walk distances are hop distances in the bipartite double cover
 g x K2: there (x, p) sits at 2x + p and every step flips the parity p, so
@@ -29,20 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SignedGraph, _bfs_dist, _check_order, _check_vertex, has_odd_cycle, is_connected
-from .distance import (
-    _batches,
-    _certified_tables,
-    _edge_bitsets,
-    _edge_rows,
-    _flags,
-    _half_edges,
-    _matrix_edges,
-    _odd_cycles,
-    _reached,
-    _signed_adjacency,
-    _sorted_pairs,
-    is_compatible,
-)
+from .distance import _Run, _batches, _edge_rows, _matrix_edges, _signed_adjacency, _sorted_pairs, is_compatible
 
 __all__ = [
     "pair_index",
@@ -263,17 +251,13 @@ def _verdicts(graphs: list[SignedGraph]) -> list[tuple[bool, bool, bool]]:
     """Per graph: whether it is connected, whether it has a pair with
     shortest paths of both signs, and whether it has an odd cycle.
 
-    Read off one run of the all-sources pass per cut of `_batches`; the
-    last two are only meaningful for a connected graph.
+    Read off one `_Run` per cut of `_batches`; the last two are only
+    meaningful for a connected graph.
     """
-    orders, sizes = [g.n for g in graphs], [g.m for g in graphs]
     out: list[tuple[bool, bool, bool]] = []
-    for cut in _batches(orders, sizes):
-        edges = _edge_rows(graphs[cut])
-        bits = _edge_bitsets(orders[cut], edges, sizes[cut])
-        out += zip(
-            _reached(bits, orders[cut]), _flags(bits, orders[cut]), _odd_cycles(bits, orders[cut], edges, sizes[cut])
-        )
+    for cut in _batches([g.n for g in graphs], [g.m for g in graphs]):
+        run = _Run.of(graphs[cut])
+        out += zip(run.reached(), run.flags(), run.odd_cycles())
     return out
 
 
@@ -379,13 +363,13 @@ def conjecture_search(
     tensor product (smallest example: all-positive K2 with K4 carrying one
     negative edge, where same-fiber product paths ride length-2 walks of
     the second factor that its compatibility does not constrain).  Each
-    reported product and both its factors are certified by
-    `distance._certified_tables`; a failed certificate raises RuntimeError
-    naming a pair.  Trials run in windows of `_WINDOW`: both factors of
-    the window's trials are drawn in one lockstep of rounds
+    reported product and both its factors are certified by the table
+    certificate of `distance._Run.tables`; a failed certificate raises
+    RuntimeError naming a pair.  Trials run in windows of `_WINDOW`: both
+    factors of the window's trials are drawn in one lockstep of rounds
     (`_sample_factor_pairs`), each round's draws judged by one all-sources
     pass, and its products are built as edge arrays and decided on the
-    bitsets of the all-sources pass (`_incompatible_products`); a product
+    bitsets of one run (`_incompatible_products`); a product
     gets distance tables, sorted pairs and a certificate only when it has
     an incompatible pair, and the window's candidates get their factors
     certified in one more pass (`_certify_factors`).  Deterministic for a
@@ -418,28 +402,22 @@ def _incompatible_products(pairs: list[tuple[int, SignedGraph, SignedGraph]]) ->
 
     The products are cut by `_batches` from their orders n1*n2 and sizes
     2*m1*m2 before any is built; each cut is built by `_tensor_edges` and
-    decided by one run of the all-sources pass.  The products that run
-    flags, or leaves unreached, have their columns sliced out of it and
-    their tables certified together by `_certified_tables`, against
-    np.kron(S1, S2) of each, built from the factors alone; the pairs are
-    read from the certified tables.
+    decided by one `_Run`.  The products that run flags, or leaves
+    unreached, get their tables from it, certified together against the
+    edge rows of np.kron(S1, S2) of each, built from the factors alone; the
+    pairs are read from the certified tables.
     """
     orders = [g1.n * g2.n for _, g1, g2 in pairs]
     sizes = [2 * g1.m * g2.m for _, g1, g2 in pairs]
     out = []
     for cut in _batches(orders, sizes):
-        part, n_cut = pairs[cut], orders[cut]
-        bits = _edge_bitsets(n_cut, _tensor_edges([g1 for _, g1, _ in part], [g2 for _, _, g2 in part]), sizes[cut])
-        keep = [i for i, (bad, whole) in enumerate(zip(_flags(bits, n_cut), _reached(bits, n_cut))) if bad or not whole]
+        part = pairs[cut]
+        run = _Run(orders[cut], _tensor_edges([g1 for _, g1, _ in part], [g2 for _, _, g2 in part]), sizes[cut])
+        keep = [i for i, (bad, whole) in enumerate(zip(run.flags(), run.reached())) if bad or not whole]
         if not keep:
             continue
-        offsets = np.cumsum(n_cut) - n_cut
-        cols = np.concatenate([np.arange(offsets[i], offsets[i] + n_cut[i]) for i in keep])
-        pos, neg, planes = bits
-        flagged = (pos[:, cols], neg[:, cols], [plane[:, cols] for plane in planes])
-        rows = [_matrix_edges(np.kron(_signed_adjacency(part[i][1]), _signed_adjacency(part[i][2]))) for i in keep]
-        half = _half_edges(np.concatenate(rows), [n_cut[i] for i in keep], [len(r) for r in rows])
-        for i, sd in zip(keep, _certified_tables(flagged, [n_cut[i] for i in keep], half)):
+        kron = [_matrix_edges(np.kron(_signed_adjacency(part[i][1]), _signed_adjacency(part[i][2]))) for i in keep]
+        for i, sd in zip(keep, run.tables(keep, check=kron)):
             t, g1, g2 = part[i]
             out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(_sorted_pairs(sd))))
     return out
@@ -449,16 +427,13 @@ def _certify_factors(candidates: list[ConjectureCandidate]) -> None:
     """Raise RuntimeError naming a pair unless both factors of every
     candidate are connected and compatible.
 
-    The factors run through one all-sources pass per cut of `_batches`;
-    their tables must pass `_certified_tables` against their edges and hold
-    no pair with shortest paths of both signs.
+    The factors run through one `_Run` per cut of `_batches`; their tables
+    must pass the table certificate against their edge rows and hold no
+    pair with shortest paths of both signs.
     """
     graphs = [g for c in candidates for g in (c.g1, c.g2)]
-    orders, sizes = [g.n for g in graphs], [g.m for g in graphs]
-    for cut in _batches(orders, sizes):
-        edges = _edge_rows(graphs[cut])
-        bits = _edge_bitsets(orders[cut], edges, sizes[cut])
-        tables = _certified_tables(bits, orders[cut], _half_edges(edges, orders[cut], sizes[cut]))
+    for cut in _batches([g.n for g in graphs], [g.m for g in graphs]):
+        tables = _Run.of(graphs[cut]).tables(check=[_edge_rows([g]) for g in graphs[cut]])
         for i, sd in zip(range(cut.start, cut.stop), tables):
             if sd.incompatible.any():
                 (u, v), c = _sorted_pairs(sd)[0], candidates[i // 2]

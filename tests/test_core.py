@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from itertools import islice
@@ -140,6 +141,33 @@ def test_numpy_integer_vertices_accepted():
     ends = np.array([[1, 0], [1, 2]], dtype=np.int32)
     assert sg.SignedGraph.from_edges(3, [(u, v, s) for (u, v), s in zip(ends, (1, -1))]) == want
     assert sg.SignedGraph(3, tuple((np.int64(u), np.int64(v), s) for u, v, s in want.edges)) == want
+
+
+@pytest.mark.parametrize(
+    "u, v, s",
+    [
+        (0, 1, 1.0),
+        (0, 1, -1.0),
+        (0, 1, True),
+        (np.int64(0), np.int32(1), np.int8(-1)),
+        (np.uint8(0), np.int64(1), np.float64(1.0)),
+        (False, True, np.bool_(True)),
+    ],
+)
+def test_edges_are_stored_as_plain_ints(u, v, s):
+    # Validated values are stored as the checks return them: plain ints, so
+    # the edges print, hash and serialize as the +1/-1 graph they stand for.
+    for g in (sg.SignedGraph(2, ((u, v, s),)), sg.SignedGraph.from_edges(2, [(v, u, s)])):
+        assert all(type(x) is int for x in g.edges[0])
+        assert g.edges == ((0, 1, int(s)),) and g == sg.SignedGraph(2, ((0, 1, int(s)),))
+        assert json.dumps(g.edges) == f"[[0, 1, {int(s)}]]"
+
+
+@pytest.mark.parametrize("s", [1.5, -0.5, "1", None])
+def test_non_sign_values_are_refused_on_both_constructors(s):
+    for build in (lambda: sg.SignedGraph(2, ((0, 1, s),)), lambda: sg.SignedGraph.from_edges(2, [(1, 0, s)])):
+        with pytest.raises(ValueError, match=f"^sign must be \\+1 or -1, got {re.escape(repr(s))}$"):
+            build()
 
 
 def test_generated_graphs_equal_checked_ones():

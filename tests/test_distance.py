@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import sgdist as sg
 from sgdist import distance
-from sgdist.distance import _incompatible_flags, _signed_bitsets
 from conftest import (
     check_witness,
     nx_path_signs,
@@ -206,7 +205,7 @@ def test_signed_distances_orders_around_byte_and_word_edges(n):
 def test_signed_distances_long_path_past_one_byte_of_planes():
     # P_300 has diameter 299: nine distance planes, one more than a byte holds.
     g = sg.path_graph(300, [(-1) ** (i // 3) for i in range(299)])
-    assert len(_signed_bitsets([g])[2]) == 9
+    assert len(distance._connected_run([g]).planes) == 9
     sd = assert_matches_bfs_rows(g)
     assert sd.dist.max() == 299
 
@@ -251,8 +250,21 @@ def test_matrices_and_pairs_match_bfs_reference_on_gnp60():
 DISCONNECTED = re.escape("graph is disconnected; signed distances are undefined")
 
 
+def signed_bits(graphs):
+    """The `(pos, neg, planes)` words of `_connected_run` over a batch of graphs."""
+    run = distance._connected_run(graphs)
+    return run.pos, run.neg, run.planes
+
+
+def incompatible_flags(graphs):
+    """`flags` of one `_connected_run` per cut of `_batches`; a disconnected
+    graph is refused."""
+    cuts = distance._batches([g.n for g in graphs], [g.m for g in graphs])
+    return [bad for cut in cuts for bad in distance._connected_run(graphs[cut]).flags()]
+
+
 def word_ints(bits):
-    """`_signed_bitsets` arrays of one graph as Python ints: every word column
+    """`signed_bits` arrays of one graph as Python ints: every word column
     read back as one int, after checking the arrays' dtype and shape."""
     pos, neg, planes = bits
     assert all(a.dtype == np.dtype("<u8") and a.shape == pos.shape for a in (pos, neg, *planes))
@@ -275,9 +287,9 @@ def assert_routes_agree(g):
     refused with the exact message.  Returns the bitsets as Python ints."""
     if None in sg.signed_bfs(g, 0):
         with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
-            _signed_bitsets([g])
+            signed_bits([g])
         return None
-    bits = _signed_bitsets([g])
+    bits = signed_bits([g])
     assert bits[0].shape == (-(-g.n // 64), g.n)
     got = word_ints(bits)
     dist, pos, neg = bfs_rows(g)
@@ -357,29 +369,34 @@ def test_routes_agree_when_the_words_run_in_blocks(monkeypatch):
         sg.random_signed_gnp(200, 0.5, rng),
     ]
     disconnected = sg.SignedGraph.from_edges(150, [(v, v + 1, 1) for v in range(149) if v != 127])
-    want = [word_ints(_signed_bitsets([g])) for g in connected]
+    want = [word_ints(signed_bits([g])) for g in connected]
     monkeypatch.setattr(distance, "_GATHER_WORDS", 1)
-    assert [word_ints(_signed_bitsets([g])) for g in connected] == want
+    assert [word_ints(signed_bits([g])) for g in connected] == want
     with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
-        _signed_bitsets([disconnected])
+        signed_bits([disconnected])
 
 
-def test_flags_read_every_word():
+def test_flags_read_every_word(monkeypatch):
     # Source 129 sits in the third word; one shared bit there decides, for
     # the graph that owns column 7.
     pos = np.zeros((3, 130), dtype="<u8")
     neg = pos.copy()
     pos[2, 7] = neg[2, 7] = 1 << 1
-    assert distance._flags((pos, neg, []), [130]) == [True]
-    assert distance._flags((pos, neg, []), [7, 123]) == [False, True]
-    assert distance._flags((pos, neg ^ pos, []), [130]) == [False]
+
+    def flags(bits, orders):
+        monkeypatch.setattr(distance, "_edge_bitsets", lambda *args: bits)
+        return distance._Run(orders, np.zeros((0, 3), dtype=np.intp), [0] * len(orders)).flags()
+
+    assert flags((pos, neg, []), [130]) == [True]
+    assert flags((pos, neg, []), [7, 123]) == [False, True]
+    assert flags((pos, neg ^ pos, []), [130]) == [False]
 
 
 # The routes that run the all-sources pass, each of which must refuse a
 # disconnected graph.
 PASS_ROUTES = (
-    lambda g: _signed_bitsets([g]),
-    lambda g: _incompatible_flags([g]),
+    lambda g: signed_bits([g]),
+    lambda g: incompatible_flags([g]),
     sg.signed_distances,
     sg.is_compatible,
 )
@@ -421,11 +438,11 @@ C70 = sg.cycle_graph(70, [-1 if v % 9 == 0 else 1 for v in range(70)])
 )
 def test_batch_with_k1_anywhere_matches_each_graph_alone(batch):
     # K1's vertex has no half-edges: it must read nothing, wherever it sits.
-    assert _incompatible_flags(batch) == [not sg.is_compatible(g) for g in batch]
-    pos, neg, planes = _signed_bitsets(batch)
+    assert incompatible_flags(batch) == [not sg.is_compatible(g) for g in batch]
+    pos, neg, planes = signed_bits(batch)
     offset = 0
     for g in batch:
-        alone = _signed_bitsets([g])
+        alone = signed_bits([g])
         for a, b in zip((pos, neg, *planes), (*alone[:2], *alone[2])):
             assert np.array_equal(a[: b.shape[0], offset : offset + g.n], b)
             assert not a[b.shape[0] :, offset : offset + g.n].any()
@@ -435,7 +452,7 @@ def test_batch_with_k1_anywhere_matches_each_graph_alone(batch):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(wide_connected_signed_graphs(2, 70), min_size=1, max_size=8))
 def test_incompatible_flags_match_each_graph_alone(graphs):
-    assert _incompatible_flags(graphs) == [not sg.is_compatible(g) for g in graphs]
+    assert incompatible_flags(graphs) == [not sg.is_compatible(g) for g in graphs]
 
 
 @pytest.mark.parametrize("bound", [1, 64, 300])
@@ -445,18 +462,18 @@ def test_incompatible_flags_in_cut_batches(monkeypatch, bound):
     rng = random.Random(bound)
     graphs = [C70, K1, C4_ONE_NEG, sg.cycle_graph(130, [1] * 129 + [-1])]
     graphs += [sg.tensor(random_connected_signed(rng, 2, 6), sg.complete_graph(3, -1)) for _ in range(12)]
-    want = _incompatible_flags(graphs)
+    want = incompatible_flags(graphs)
     assert any(want) and not all(want)
     monkeypatch.setattr(distance, "_GATHER_WORDS", bound)
     assert list(distance._batches([g.n for g in graphs], [g.m for g in graphs])) != [slice(0, len(graphs))]
-    assert _incompatible_flags(graphs) == want
+    assert incompatible_flags(graphs) == want
 
 
 def test_batch_with_a_disconnected_graph_is_refused():
     split = sg.SignedGraph.from_edges(6, [(0, 1, 1), (1, 2, -1), (3, 4, 1), (4, 5, 1)])
     for batch in ([split], [C4_ONE_NEG, split, K1], [K1, C70, split]):
         with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
-            _incompatible_flags(batch)
+            incompatible_flags(batch)
 
 
 # Every public route to the all-sources pass, each of which must refuse a
@@ -489,22 +506,16 @@ MIXED_BATCH = [
 ]
 
 
-def batch_run(batch):
-    orders = [g.n for g in batch]
-    edges = distance._edge_rows(batch)
-    return orders, edges, distance._edge_bitsets(orders, edges, [g.m for g in batch])
-
-
 def assert_batch_matches_each_graph_alone(batch):
     """One pass over the batch: its reach per graph is `is_connected`, its
     odd-cycle flag on a connected graph is `has_odd_cycle`, and a connected
     graph's bitsets equal those of its run alone, with any further distance
     planes empty on its columns."""
-    orders, edges, bits = batch_run(batch)
+    run = distance._Run.of(batch)
     connected = [sg.is_connected(g) for g in batch]
-    assert distance._reached(bits, orders) == connected
-    odd = distance._odd_cycles(bits, orders, edges, [g.m for g in batch])
-    pos, neg, planes = bits
+    assert run.reached() == connected
+    odd = run.odd_cycles()
+    pos, neg, planes = run.pos, run.neg, run.planes
     offset = 0
     for g, whole, odd_g in zip(batch, connected, odd):
         cols = np.s_[offset : offset + g.n]
@@ -512,7 +523,7 @@ def assert_batch_matches_each_graph_alone(batch):
         if not whole:
             continue
         assert odd_g == sg.has_odd_cycle(g)
-        alone = _signed_bitsets([g])
+        alone = signed_bits([g])
         for a, b in zip((pos, neg, *planes), (*alone[:2], *alone[2])):
             assert np.array_equal(a[: b.shape[0], cols], b)
             assert not a[b.shape[0] :, cols].any()
@@ -540,6 +551,53 @@ def test_pass_reports_reach_on_random_batches(batch):
 def test_pass_reports_reach_when_the_words_run_in_blocks(monkeypatch, bound):
     monkeypatch.setattr(distance, "_GATHER_WORDS", bound)
     assert_batch_matches_each_graph_alone(MIXED_BATCH)
+
+
+@st.composite
+def batches_and_subsets(draw):
+    """A batch of connected and disconnected graphs and K1, and a subset of
+    its indices in any order."""
+    batch = draw(st.lists(st.one_of(connected_signed_graphs(), signed_graphs(), st.just(K1)), min_size=1, max_size=8))
+    keep = draw(st.lists(st.integers(0, len(batch) - 1), min_size=1, max_size=len(batch), unique=True))
+    return batch, keep
+
+
+def assert_tables_match_each_graph_alone(batch, keep):
+    """`tables(keep)` of one run over the batch equal each graph's solo
+    tables (`signed_distances` when connected); with `check`, the connected
+    graphs pass against their edge rows and each disconnected one fails."""
+    run = distance._Run.of(batch)
+    kept = [batch[i] for i in keep]
+    connected = [i for i in keep if sg.is_connected(batch[i])]
+    routes = [run.tables(keep)]
+    if connected:
+        routes.append(run.tables(connected, check=[distance._edge_rows([batch[i]]) for i in connected]))
+    for route, graphs in zip(routes, (kept, [batch[i] for i in connected])):
+        assert len(route) == len(graphs)
+        for g, sd in zip(graphs, route):
+            alone = sg.signed_distances(g) if sg.is_connected(g) else distance._Run.of([g]).tables()[0]
+            for a, b in zip((sd.dist, sd.pos, sd.neg), (alone.dist, alone.pos, alone.neg)):
+                assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+    for i in keep:
+        if i not in connected:
+            with pytest.raises(RuntimeError, match=r"^pair \("):
+                run.tables([i], check=[distance._edge_rows([batch[i]])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches_and_subsets())
+@example(([K1, SPLIT, K1, C4_ONE_NEG], [3, 1, 0]))
+def test_run_tables_of_any_subset_match_each_graph_alone(case):
+    assert_tables_match_each_graph_alone(*case)
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 18])
+def test_run_tables_of_a_mixed_batch(monkeypatch, cells):
+    # A bound of one cell certifies one source per block.
+    monkeypatch.setattr(distance, "_CERT_CELLS", cells)
+    keep = list(range(len(MIXED_BATCH)))
+    assert_tables_match_each_graph_alone(MIXED_BATCH, keep)
+    assert_tables_match_each_graph_alone(MIXED_BATCH, keep[::-1])
 
 
 # -- distance matrices --------------------------------------------------------

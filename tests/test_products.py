@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 
@@ -447,6 +448,23 @@ def test_opposite_paths_reject_corrupted_distances():
             _opposite_paths(g, sd, [(0, 2)])
 
 
+def test_witness_certifies_row_u_of_its_tables():
+    # C4 with one negative edge and a pendant 4 on vertex 1: the witness of
+    # (0, 2) walks row 0 through 1 and 3 only.  One entry of row 0 at the
+    # pendant is changed, its column 0 entry left as it was: only a
+    # certificate of row u, the row the walk read, sees it.
+    g = sg.SignedGraph.from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1), (1, 4, -1)])
+    sd = sg.signed_distances(g)
+    assert _opposite_paths(g, sd, [(0, 2)]) == [([0, 1, 2], [0, 3, 2])]
+    for name, value in (("dist", 1), ("dist", 3), ("pos", True), ("neg", False)):
+        arrays = {"dist": sd.dist.copy(), "pos": sd.pos.copy(), "neg": sd.neg.copy()}
+        arrays[name][0, 4] = value
+        bad = sg.SignedDistances(**arrays)
+        assert not np.array_equal(getattr(bad, name), getattr(bad, name).T)
+        with pytest.raises(RuntimeError, match=r"^pair \(0,4\): distance \d+, positive \w+ and negative \w+ fail"):
+            _opposite_paths(g, bad, [(0, 2)])
+
+
 def test_certificate_refuses_a_step_off_the_graph():
     # [0, 3, 2] has the BFS length and, through its one real edge, the
     # negative sign; its step 3-2 is not an edge of g.
@@ -469,7 +487,7 @@ def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
         return product_rows[-1]
 
     def corrupt(orders, edges, sizes):
-        pos, neg, planes = distance._edge_bitsets(orders, edges, sizes)
+        pos, neg, planes = real_edge_bitsets(orders, edges, sizes)
         if not any(edges is rows for rows in product_rows):
             return pos, neg, planes
         for n, offset in zip(orders, np.cumsum(orders) - orders):
@@ -481,9 +499,9 @@ def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
             neg[0, offset + v] |= np.uint64(1 << u)
         return pos, neg, planes
 
-    real_tensor_edges = products._tensor_edges
+    real_tensor_edges, real_edge_bitsets = products._tensor_edges, distance._edge_bitsets
     monkeypatch.setattr(products, "_tensor_edges", tensor_edges)
-    monkeypatch.setattr(products, "_edge_bitsets", corrupt)
+    monkeypatch.setattr(distance, "_edge_bitsets", corrupt)
     with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\)"):
         sg.conjecture_search(40, max_n=max_n, seed=123)
 
@@ -644,21 +662,28 @@ def signed_matrix(g):
 
 
 def product_run(pairs):
-    """One pass over the `_tensor_edges` rows of the products of the factor
-    pairs, as the search runs it: their orders and bitsets."""
+    """One `_Run` over the `_tensor_edges` rows of the products of the factor
+    pairs, as the search runs it."""
     orders = [g1.n * g2.n for g1, g2 in pairs]
     rows = products._tensor_edges([g1 for g1, _ in pairs], [g2 for _, g2 in pairs])
-    return orders, distance._edge_bitsets(orders, rows, [2 * g1.m * g2.m for g1, g2 in pairs])
+    return distance._Run(orders, rows, [2 * g1.m * g2.m for g1, g2 in pairs])
 
 
-def matrix_half_edges(adjs):
-    """`_half_edges` of a batch of graphs given by signed adjacency matrices."""
-    rows = [distance._matrix_edges(a) for a in adjs]
-    return distance._half_edges(np.concatenate(rows), [len(a) for a in adjs], [len(r) for r in rows])
+def matrix_rows(adjs):
+    """The `(u, v, sign)` edge rows of each graph given by a signed adjacency matrix."""
+    return [distance._matrix_edges(a) for a in adjs]
 
 
-def kron_half_edges(pairs):
-    return matrix_half_edges([np.kron(signed_matrix(g1), signed_matrix(g2)) for g1, g2 in pairs])
+def kron_rows(pairs):
+    return matrix_rows([np.kron(signed_matrix(g1), signed_matrix(g2)) for g1, g2 in pairs])
+
+
+def certify_rows(adj, sd, rows):
+    """The table certificate, as the witness runs it, of rows of sd, each
+    read as the tables from its source, against the graph of adj."""
+    rows = list(rows)
+    [edges] = matrix_rows([adj])
+    distance._certify(edges, [len(edges)], [len(adj)], rows, sd.dist.T[:, rows], sd.pos.T[:, rows], sd.neg.T[:, rows])
 
 
 def corrupted_copies(sd, rng, count):
@@ -694,6 +719,13 @@ def changed_cell(bits, col, source, kind):
     return pos, neg, planes
 
 
+def changed_run(run, col, source, kind):
+    """A copy of a `_Run` with cell (column, source) changed as by `changed_cell`."""
+    out = copy.copy(run)
+    out.pos, out.neg, out.planes = changed_cell((run.pos, run.neg, run.planes), col, source, kind)
+    return out
+
+
 def dropped_edges(adj):
     """Copies of adj, each without one of its edges."""
     for u, v in zip(*np.nonzero(np.triu(adj))):
@@ -714,9 +746,9 @@ CELL_CHANGES = ("dist+1", "dist-1", "pos", "neg")
 @example(K1)
 def test_row_certificate_accepts_the_pass_on_connected_graphs(g):
     sd = sg.signed_distances(g)
-    half = matrix_half_edges([signed_matrix(g)])
-    distance._certify_tables(half, sd, range(g.n))
-    distance._certify_tables(half, sd, list(dict.fromkeys([g.n - 1, 0])))
+    adj = signed_matrix(g)
+    certify_rows(adj, sd, range(g.n))
+    certify_rows(adj, sd, list(dict.fromkeys([g.n - 1, 0])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -726,8 +758,8 @@ def test_row_certificate_accepts_the_pass_on_connected_graphs(g):
 def test_batch_certificate_accepts_the_pass_on_tensor_products(pairs):
     # Every product of the batch passes against np.kron(S1, S2), and its
     # certified tables are those of the product built as a graph.
-    orders, bits = product_run(pairs)
-    tables = distance._certified_tables(bits, orders, kron_half_edges(pairs))
+    tables = product_run(pairs).tables(check=kron_rows(pairs))
+    assert len(tables) == len(pairs)
     for (g1, g2), sd in zip(pairs, tables):
         want = sg.signed_distances(sg.tensor(g1, g2))
         for a, b in zip((sd.dist, sd.pos, sd.neg), (want.dist, want.pos, want.neg)):
@@ -746,10 +778,10 @@ def test_row_certificate_refuses_each_single_corruption(graphs, rng):
     rows = range(len(adj))
     for bad in corrupted_copies(sd, rng, 8):
         with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\): "):
-            distance._certify_tables(matrix_half_edges([adj]), bad, rows)
+            certify_rows(adj, bad, rows)
     for bad in dropped_edges(adj):
         with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\): "):
-            distance._certify_tables(matrix_half_edges([bad]), sd, rows)
+            certify_rows(bad, sd, rows)
 
 
 def test_row_certificate_checks_only_the_rows_asked_for():
@@ -757,10 +789,10 @@ def test_row_certificate_checks_only_the_rows_asked_for():
     neg = sd.neg.copy()
     neg[2, 0] ^= True
     bad = sg.SignedDistances(dist=sd.dist, pos=sd.pos, neg=neg)
-    half = matrix_half_edges([signed_matrix(C4_MIXED)])
-    distance._certify_tables(half, bad, [0, 1, 3])
+    adj = signed_matrix(C4_MIXED)
+    certify_rows(adj, bad, [0, 1, 3])
     with pytest.raises(RuntimeError, match=r"^pair \(2,0\): "):
-        distance._certify_tables(half, bad, [2])
+        certify_rows(adj, bad, [2])
 
 
 @pytest.mark.parametrize("kind", CELL_CHANGES)
@@ -768,30 +800,30 @@ def test_batch_certificate_refuses_each_changed_cell(kind):
     # Every cell of every product in a batch, one at a time; a product of
     # 72 vertices puts sources in a second word.
     pairs = [(K2P, K4_ONE_NEG), (K2N, C3P), (sg.cycle_graph(8, [1] * 7 + [-1]), sg.complete_graph(9, -1))]
-    orders, bits = product_run(pairs)
-    half = kron_half_edges(pairs)
-    distance._certified_tables(bits, orders, half)
+    run = product_run(pairs)
+    rows = kron_rows(pairs)
+    run.tables(check=rows)
     offset = 0
     rng = random.Random(kind)
-    for n in orders:
+    for n in run.orders:
         cells = [(v, u) for v in range(n) for u in range(n)]
         for v, u in cells if n < 20 else rng.sample(cells, 40):
             if kind == "dist-1" and u == v:
                 continue
             with pytest.raises(RuntimeError, match=rf"^pair \(\d+,\d+\): "):
-                distance._certified_tables(changed_cell(bits, offset + v, u, kind), orders, half)
+                changed_run(run, offset + v, u, kind).tables(check=rows)
         offset += n
 
 
 def test_batch_certificate_refuses_each_dropped_edge():
     pairs = [(K2N, C3P), (K2P, K4_ONE_NEG)]
-    orders, bits = product_run(pairs)
+    run = product_run(pairs)
     for i, (g1, g2) in enumerate(pairs):
         for bad in dropped_edges(np.kron(signed_matrix(g1), signed_matrix(g2))):
             adjs = [np.kron(signed_matrix(a), signed_matrix(b)) for a, b in pairs]
             adjs[i] = bad
             with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\): "):
-                distance._certified_tables(bits, orders, matrix_half_edges(adjs))
+                run.tables(check=matrix_rows(adjs))
 
 
 def drop_first_tensor_row(real):
@@ -830,21 +862,21 @@ def test_conjecture_search_refuses_a_changed_cell(monkeypatch, kind):
     # One cell changed in every product of each products' pass, at vertex 1
     # from source 1, so the distance is 0 there and the sign positive.
     product_rows = []
-    real_tensor_edges = products._tensor_edges
+    real_tensor_edges, real_edge_bitsets = products._tensor_edges, distance._edge_bitsets
 
     def tensor_edges(firsts, seconds):
         product_rows.append(real_tensor_edges(firsts, seconds))
         return product_rows[-1]
 
     def change(orders, edges, sizes):
-        bits = distance._edge_bitsets(orders, edges, sizes)
+        bits = real_edge_bitsets(orders, edges, sizes)
         if any(edges is rows for rows in product_rows):
             for offset in (np.cumsum(orders) - orders).tolist():
                 bits = changed_cell(bits, offset + 1, 1 if kind != "dist-1" else 0, kind)
         return bits
 
     monkeypatch.setattr(products, "_tensor_edges", tensor_edges)
-    monkeypatch.setattr(products, "_edge_bitsets", change)
+    monkeypatch.setattr(distance, "_edge_bitsets", change)
     with pytest.raises(RuntimeError, match=r"^pair \(\d+,\d+\): "):
         sg.conjecture_search(40, max_n=6, seed=123)
 
