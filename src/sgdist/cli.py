@@ -42,24 +42,26 @@ def _emit(args, payload: str) -> None:
         print(payload, end=end)
 
 
-def _text_rows(mat: np.ndarray, sep: str) -> list[str]:
-    """The decimal text of each row of a distance matrix, entries joined by sep.
-
-    Entries are written through a table holding the text of every value in
-    [min, max], indexed by the matrix offset by min, so no Python int is made
-    per entry.  A distance matrix of order n has its entries in
-    [-(n-1), n-1], so the table is shorter than two rows.
-    """
-    lo, hi = int(mat.min()), int(mat.max())
-    table = np.array([str(x) for x in range(lo, hi + 1)], dtype=object)
-    return [sep.join(row.tolist()) for row in table[mat - lo]]
-
-
 def _matrix_payload(mat: np.ndarray, fmt: str) -> str:
+    """The json or csv text of a distance matrix, built by one join.
+
+    Each entry is written through a table holding, for every value in
+    [min, max], its text followed by its separator, and a row-end variant
+    for the last column; the matrix offset by min indexes it, so no Python
+    int is made per entry.  A distance matrix of order n has its entries in
+    [-(n-1), n-1], so the table is shorter than four rows.
+    """
+    sep, end = (",", "\n") if fmt == "csv" else (", ", "], [")
+    lo, hi = int(mat.min()), int(mat.max())
+    texts = [str(x) for x in range(lo, hi + 1)]
+    table = np.array([t + sep for t in texts] + [t + end for t in texts], dtype=object)
+    codes = mat - lo
+    codes[:, -1] += len(texts)
+    text = "".join(table[codes].ravel().tolist())
     if fmt == "csv":
-        return "\n".join(_text_rows(mat, ",")) + "\n"
-    entries = ", ".join("[" + row + "]" for row in _text_rows(mat, ", "))
-    return f'{{"order": {mat.shape[0]}, "entries": [{entries}]}}'
+        return text
+    # The last row ends "], [": keep its "]" and close the list.
+    return f'{{"order": {mat.shape[0]}, "entries": [[{text[:-3]}]}}'
 
 
 def _cmd_info(args) -> int:
@@ -89,14 +91,18 @@ def _cmd_dist(args) -> int:
 
 def _cmd_compat(args) -> int:
     g = _read_graph(args.file)
-    pairs = distance.incompatible_pairs(g)
+    u, v = distance._sorted_pair_arrays(distance.signed_distances(g))
     if args.format == "json":
-        # The json.dumps text, with each vertex written through a table.
-        table = [str(v) for v in range(g.n)]
-        body = ", ".join(["[" + table[u] + ", " + table[v] + "]" for u, v in pairs])
-        _emit(args, f'{{"compatible": {json.dumps(not pairs)}, "incompatible_pairs": [{body}]}}')
-    elif pairs:
-        _emit(args, "incompatible: " + " ".join(f"({u},{v})" for u, v in pairs))
+        # The json.dumps text of the pairs, joined from "[u, " and "v], "
+        # pieces written through tables; the last ", " is cut.
+        firsts = np.array([f"[{x}, " for x in range(g.n)], dtype=object)
+        seconds = np.array([f"{x}], " for x in range(g.n)], dtype=object)
+        pieces = np.empty(2 * len(u), dtype=object)
+        pieces[0::2], pieces[1::2] = firsts[u], seconds[v]
+        body = "".join(pieces.tolist())[:-2]
+        _emit(args, f'{{"compatible": {json.dumps(not len(u))}, "incompatible_pairs": [{body}]}}')
+    elif len(u):
+        _emit(args, "incompatible: " + " ".join(f"({a},{b})" for a, b in zip(u.tolist(), v.tolist())))
     else:
         _emit(args, "compatible")
     return EXIT_OK

@@ -8,13 +8,19 @@ signs.  A graph is (distance-)compatible when sigma_max = sigma_min for
 every pair, i.e. the two distance matrices coincide.
 
 All-pairs results come from one BFS run from every source at once over
-bitsets of sources (`_edge_bitsets`), packed into uint64 words, where each
-level is one numpy gather and reduction over all edges.  The run takes a
-batch of graphs as one disjoint union, given as orders, edge counts and one
-`(u, v, sign)` edge array, so the conjecture search decides a whole round
-of small graphs, or a window's tensor products built as arrays, in one run;
-a single graph is a batch of one.  `_batches` cuts graph lists and array
-products alike by the same bound on the gathered words.
+bitsets of sources (`_edge_bitsets`), packed into uint64 words, where
+each level is one numpy gather over all half-edges and one OR per
+vertex, in one of two forms chosen by `_pads` from the batch's degrees.
+When they are low and even (largest degree at most 8, and padding to it
+adds at most half the reads), as on cycles, paths and cubic graphs, a
+padded neighbour table is gathered and reduced along its rows, so a long
+diameter pays no per-vertex loop per level; otherwise one
+`bitwise_or.reduceat` ORs each vertex's run of reads.  The run takes a
+batch of graphs as one disjoint union, given as orders, edge counts and
+one `(u, v, sign)` edge array, so the conjecture search decides a whole
+round of small graphs, or a window's tensor products built as arrays, in
+one run; a single graph is a batch of one.  `_batches` cuts graph lists
+and array products alike by the same bound on the gathered words.
 
 `_Run` holds one run, built from that array or from a list of graphs, and
 is the only reader of its words, so no other module knows where a graph's
@@ -145,14 +151,13 @@ class SignedDistances:
     @property
     def d_max(self) -> np.ndarray:
         """D^max as int64: sigma_max * d, with sigma_max = +1 iff pos."""
-        d = self.dist.astype(np.int64)
-        return np.where(self.pos, d, -d)
+        # sigma as int8 arithmetic on the bool bytes: no `where` over int64.
+        return (self.dist * (2 * self.pos.view(np.int8) - 1)).astype(np.int64)
 
     @property
     def d_min(self) -> np.ndarray:
         """D^min as int64: sigma_min * d, with sigma_min = -1 iff neg."""
-        d = self.dist.astype(np.int64)
-        return np.where(self.neg, -d, d)
+        return (self.dist * (1 - 2 * self.neg.view(np.int8))).astype(np.int64)
 
     @property
     def incompatible(self) -> np.ndarray:
@@ -165,6 +170,10 @@ _WORD = 64
 # Bound on the words one level gathers (8 MiB): a dense graph's half-edges
 # times its source words would otherwise dwarf the result.
 _GATHER_WORDS = 1 << 20
+# The rule of `_pads`: the largest degree the padded neighbour table takes,
+# and the bound on its cells as a multiple of the run index's reads.
+_PAD_DEGREE = 8
+_PAD_READS = 1.5
 # One packed word: little-endian, so its bytes unpack in source order.
 _U64 = np.dtype("<u8")
 
@@ -173,6 +182,21 @@ def _edge_rows(graphs: Sequence[SignedGraph]) -> np.ndarray:
     """The `(u, v, sign)` rows of the graphs' edges, graph after graph, as one intp array."""
     count = 3 * sum(g.m for g in graphs)
     return np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)), np.intp, count).reshape(-1, 3)
+
+
+def _pads(degree: int, columns: int, reads: int) -> bool:
+    """Whether a level of `_edge_bitsets` gathers through the padded
+    neighbour table, for a batch of `columns` vertices whose largest degree
+    is `degree`, where the flat index of one sign reads `reads` columns:
+    sum(max(deg(v), 1)) over the vertices, as a vertex of degree 0 reads the
+    zero column.
+
+    The table has `degree` rows of 2 * `columns` cells.  It is taken when
+    `degree` is at most `_PAD_DEGREE` and the table is at most `_PAD_READS`
+    times the flat index: when the degrees are low and even, as on a cycle,
+    a path or a cubic graph.
+    """
+    return degree <= _PAD_DEGREE and degree * columns <= _PAD_READS * reads
 
 
 def _edge_bitsets(
@@ -207,13 +231,22 @@ def _edge_bitsets(
     has neither of its sign bits, which `_Run.reached` reads per graph.
 
     The frontier is one `(W, 2N + 1)` array: positive columns, negative
-    columns and a column that stays 0.  A level is one gather of it along a
-    half-edge index grouped by vertex (a negative edge reads the opposite
-    half) and one `bitwise_or.reduceat` over each vertex's run.  `reduceat`
-    does not reduce an empty run to 0, so a vertex of degree 0 reads the
-    zero column.  Sources never mix, so the words run in blocks that keep
-    the gathered `(words, 4m)` array within `_GATHER_WORDS`; only a graph
-    over the bound on its own needs more than one (see `_batches`).
+    columns and a column that stays 0.  A level is one gather of it along
+    an index of half-edges (a negative edge reads the opposite half) and one
+    OR over each result column's reads, in one of two forms chosen by
+    `_pads` from the batch's degrees:
+    - a padded neighbour table, `(D, 2N)` for the largest degree D, whose
+      row k holds each result column's k-th read and pads with the zero
+      column; the level reduces it along its rows, D - 1 ORs of whole rows.
+      It serves low, even degrees, where padding adds few reads and a long
+      diameter runs many levels.
+    - otherwise the reads of every result column in one flat run, OR-ed by
+      one `bitwise_or.reduceat`, which costs a loop per run but reads no
+      padding on skewed degrees.  `reduceat` does not reduce an empty run
+      to 0, so a vertex of degree 0 reads the zero column.
+    Sources never mix, so the words run in blocks that keep the gathered
+    cells, words times the index's size, within `_GATHER_WORDS`; only a
+    graph over the bound on its own needs more than one (see `_batches`).
     """
     total = sum(orders)
     w = -(-max(orders) // _WORD)
@@ -224,17 +257,30 @@ def _edge_bitsets(
     flip = (edges[:, 2] < 0) * total
     runs = np.bincount(ends.ravel(), minlength=total)
     lone = np.flatnonzero(runs == 0)
-    zero = np.full(len(lone), 2 * total)
+    degree = int(runs.max())
     # Columns of the stacked frontier OR-ed into the positive, then the
     # negative, result column of each vertex.
-    order = np.argsort(np.concatenate((ends.ravel(), lone)), kind="stable")
-    src_pos = np.concatenate(((ends[::-1] + flip).ravel(), zero))[order]
-    src_neg = np.concatenate(((ends[::-1] + total - flip).ravel(), zero))[order]
-    src = np.concatenate((src_pos, src_neg))
-    runs[lone] = 1
-    starts = np.cumsum(runs) - runs
-    starts = np.concatenate((starts, starts + len(src_pos)))
-
+    if _pads(degree, total, ends.size + len(lone)):
+        # Row k of the table holds each result column's k-th read, by the
+        # half-edge's rank in its vertex's run; the rest read the zero column.
+        half = ends.ravel()
+        order = np.argsort(half, kind="stable")
+        into = half[order]
+        slot = (np.arange(len(into)) - (np.cumsum(runs) - runs)[into]) * (2 * total) + into
+        index = np.full((max(1, degree), 2 * total), 2 * total)
+        cells = index.reshape(-1)
+        cells[slot] = (ends[::-1] + flip).ravel()[order]
+        cells[slot + total] = (ends[::-1] + total - flip).ravel()[order]
+        starts = None
+    else:
+        zero = np.full(len(lone), 2 * total)
+        order = np.argsort(np.concatenate((ends.ravel(), lone)), kind="stable")
+        src_pos = np.concatenate(((ends[::-1] + flip).ravel(), zero))[order]
+        src_neg = np.concatenate(((ends[::-1] + total - flip).ravel(), zero))[order]
+        index = np.concatenate((src_pos, src_neg))
+        runs[lone] = 1
+        starts = np.cumsum(runs) - runs
+        starts = np.concatenate((starts, starts + len(src_pos)))
     cols = np.arange(total)
     v = cols - np.repeat(offsets, orders)
     pos = np.zeros((w, total), dtype=_U64)
@@ -245,7 +291,7 @@ def _edge_bitsets(
     unseen = np.where(fill == _WORD, ~np.uint64(0), (np.uint64(1) << fill % np.uint64(_WORD)) - np.uint64(1))
     unseen ^= pos
     planes: list[np.ndarray] = []
-    step = max(1, _GATHER_WORDS // len(src))
+    step = max(1, _GATHER_WORDS // index.size)
     for j in range(0, w, step):
         # Views of this block's words, updated in place.
         bpos, bneg, bunseen = pos[j : j + step], neg[j : j + step], unseen[j : j + step]
@@ -254,7 +300,14 @@ def _edge_bitsets(
         fpos[:] = bpos
         level = 0
         while bunseen.any():
-            np.bitwise_or.reduceat(front.take(src, axis=1), starts, axis=1, out=front[:, :-1])
+            # The gathered reads stay a temporary of one statement: held
+            # across the level, they made the allocator map fresh pages for
+            # them at every level (about 2500 page faults per pass on a
+            # G(600, 0.3)).
+            if starts is None:
+                np.bitwise_or.reduce(front.take(index, axis=1), axis=1, out=front[:, :-1])
+            else:
+                np.bitwise_or.reduceat(front.take(index, axis=1), starts, axis=1, out=front[:, :-1])
             new = (fpos | fneg) & bunseen
             if not new.any():
                 break
@@ -278,7 +331,8 @@ def _batches(orders: Sequence[int], sizes: Sequence[int]) -> Iterator[slice]:
     Graph i has `orders[i]` vertices and `sizes[i]` edges; each run is
     yielded as the slice of its graphs.  A level gathers the batch's words
     times its half-edge reads, 4m per graph, counted as 4m + 2 to cover the
-    two reads of a K1's zero column.
+    two reads of a K1's zero column.  When `_pads` takes the padded table,
+    a level reads at most `_PAD_READS` times as many.
     """
     start = words = reads = 0
     for i, (n, m) in enumerate(zip(orders, sizes)):
@@ -416,12 +470,18 @@ def distance_matrix(g: SignedGraph, which: str = "max") -> np.ndarray:
     return sd.d_max if w == "max" else sd.d_min
 
 
-def _sorted_pairs(sd: SignedDistances) -> list[tuple[int, int]]:
+def _sorted_pair_arrays(sd: SignedDistances) -> tuple[np.ndarray, np.ndarray]:
+    """The u and the v array of the incompatible pairs u < v, sorted by (distance, u, v)."""
     # `nonzero` lists the pairs in (u, v) order, which a stable sort keeps
     # among pairs at one distance.
     u, v = np.nonzero(np.triu(sd.incompatible, k=1))
     order = np.argsort(sd.dist[u, v], kind="stable")
-    return list(zip(u[order].tolist(), v[order].tolist()))
+    return u[order], v[order]
+
+
+def _sorted_pairs(sd: SignedDistances) -> list[tuple[int, int]]:
+    u, v = _sorted_pair_arrays(sd)
+    return list(zip(u.tolist(), v.tolist()))
 
 
 def incompatible_pairs(g: SignedGraph) -> list[tuple[int, int]]:
@@ -460,9 +520,10 @@ class IncompatibilityWitness:
 
 
 def _opposite_paths(
-    g: SignedGraph, sd: SignedDistances, pairs: Sequence[tuple[int, int]]
+    g: SignedGraph, sd: SignedDistances, pairs: Sequence[tuple[int, int]], edges: np.ndarray
 ) -> list[tuple[list[int], list[int]]]:
-    """A positive and a negative shortest u-v path for each pair (u, v) of g.
+    """A positive and a negative shortest u-v path for each pair (u, v) of g,
+    whose `(u, v, sign)` rows `edges` are `_edge_rows([g])`.
 
     Each path is walked back from v through row u of `sd`, at every step
     taking the first neighbour one hop closer to u through which the
@@ -493,18 +554,23 @@ def _opposite_paths(
             paths.append(path)
         out.append(tuple(paths))
     if out:
-        _certify_paths(g, sd, pairs, out)
+        _certify_paths(g, sd, pairs, out, edges)
     return out
 
 
 def _certify_paths(
-    g: SignedGraph, sd: SignedDistances, pairs: Sequence[tuple[int, int]], paths: list[tuple[list[int], list[int]]]
+    g: SignedGraph,
+    sd: SignedDistances,
+    pairs: Sequence[tuple[int, int]],
+    paths: list[tuple[list[int], list[int]]],
+    edges: np.ndarray,
 ) -> None:
     """Raise RuntimeError naming the first pair whose positive or negative
     path from `_opposite_paths` is not a shortest path of its sign in g.
 
     The steps of all paths are checked in one numpy pass: each is searched
-    for among the edge keys u*n + v of the sorted `g.edges`, and a path's
+    for among the edge keys u*n + v of `edges`, the rows of the sorted
+    `g.edges`, and a path's
     sign is the parity of its negative steps.  A path's length must equal
     `sd.dist[u, v]`, and row u of `sd` must pass `_certify` against those
     same edges, so the length is the hop distance.
@@ -516,7 +582,6 @@ def _certify_paths(
     # Step i of the concatenation joins a vertex to the next one of its path.
     a, b = np.delete(verts, ends - 1), np.delete(verts, ends - lengths)
     keys = np.minimum(a, b) * g.n + np.maximum(a, b)
-    edges = _edge_rows([g])
     edge_keys = edges[:, 0] * g.n + edges[:, 1]
     at = np.minimum(np.searchsorted(edge_keys, keys), g.m - 1)
     found = edge_keys[at] == keys
@@ -662,13 +727,16 @@ def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:
     among the incompatible pairs u < v at the least distance, the first in
     row-major order.
     """
-    sd = signed_distances(g)
+    # The run's edge rows also serve the path certificate, which builds its
+    # own half-edges from them.
+    run = _connected_run([g])
+    sd = run.tables()[0]
     bad = np.triu(sd.incompatible, k=1)
     if not bad.any():
         return None
     least = bad & (sd.dist == sd.dist[bad].min())
     u, v = divmod(int(np.argmax(least)), g.n)
-    [(p_pos, p_neg)] = _opposite_paths(g, sd, [(u, v)])
+    [(p_pos, p_neg)] = _opposite_paths(g, sd, [(u, v)], run.edges)
     if set(p_pos[1:-1]) & set(p_neg[1:-1]):
         raise AssertionError(f"opposite-sign shortest paths of least incompatible pair ({u},{v}) intersect")
     return IncompatibilityWitness(

@@ -379,7 +379,10 @@ def _int64_matrices(max_side=6):
 @settings(max_examples=200, deadline=None)
 @given(_int64_matrices())
 @example(np.array([[0]]))
+@example(np.array([[-4]]))
 @example(np.array([[0, -3, 3, 1]]))
+@example(np.full((3, 3), 2))
+@example(np.array([[-1, -2, -12], [-2, -1, -10]]))
 def test_matrix_payload_matches_json_dumps_and_str(mat):
     assert _matrix_payload(mat, "json") == json.dumps({"order": mat.shape[0], "entries": mat.tolist()})
     assert _matrix_payload(mat, "csv") == "\n".join(",".join(map(str, row)) for row in mat.tolist()) + "\n"
@@ -403,8 +406,10 @@ def test_dist_payloads_match_json_dumps_on_distance_matrices():
         # C4 with the chord 1-3: only (0, 2) sees paths of both signs.
         (sg.SignedGraph.from_edges(4, [(0, 1, -1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (1, 3, 1)]), 1),
         (sg.cycle_graph(150, [-1] + [1] * 149), 75),
+        # Pairs at several distances, so (distance, u, v) order is not row order.
+        (sg.random_signed_gnp(60, 0.08, random.Random(17)), 590),
     ],
-    ids=["no-pairs", "one-pair", "many-pairs"],
+    ids=["no-pairs", "one-pair", "many-pairs", "pairs-by-distance"],
 )
 def test_compat_json_matches_json_dumps(capsys, tmp_path, g, n_pairs):
     path = tmp_path / "g.sg"

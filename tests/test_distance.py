@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import random
 import re
+import types
 
 import numpy as np
 import pytest
@@ -376,6 +378,105 @@ def test_routes_agree_when_the_words_run_in_blocks(monkeypatch):
         signed_bits([disconnected])
 
 
+# -- the two level gathers ----------------------------------------------------
+
+# Values of the rule constants of `distance._pads` that force each gather.
+GATHERS = {"padded": (1 << 30, float("inf")), "reduceat": (-1, 0.0)}
+
+
+@contextlib.contextmanager
+def forced_gather(gather):
+    """The pass with every level gathered in one form, whatever the degrees."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "_PAD_DEGREE", GATHERS[gather][0])
+        mp.setattr(distance, "_PAD_READS", GATHERS[gather][1])
+        yield
+
+
+def gathers_used(graphs):
+    """The gathers, "padded" or "reduceat", that the levels of one run over
+    the batch used, seen through the `bitwise_or` reduction each calls."""
+    used = set()
+
+    def spy(name, method):
+        def call(*args, **kwargs):
+            used.add(name)
+            return method(*args, **kwargs)
+        return call
+
+    class Numpy:
+        bitwise_or = types.SimpleNamespace(
+            reduce=spy("padded", np.bitwise_or.reduce), reduceat=spy("reduceat", np.bitwise_or.reduceat)
+        )
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "np", Numpy())
+        distance._Run.of(graphs)
+    return used
+
+
+def star(leaves):
+    return sg.SignedGraph.from_edges(leaves + 1, [(0, v, (-1) ** v) for v in range(1, leaves + 1)])
+
+
+def pads(degrees):
+    """`distance._pads` on a batch with these vertex degrees."""
+    return distance._pads(max(degrees), len(degrees), sum(max(d, 1) for d in degrees))
+
+
+def test_pads_rule_chooses_by_degrees():
+    rng = random.Random(19)
+    cubic = [sg.petersen_signing([rng.choice((1, -1)) for _ in range(15)]) for _ in range(20)]
+    cubic.append(sg.cartesian(sg.complete_graph(2, -1), sg.cycle_graph(40, [1] * 39 + [-1])))
+    chosen = {
+        "padded": [[sg.cycle_graph(300, [rng.choice((1, -1)) for _ in range(300)])], cubic],
+        "reduceat": [[star(20)], [sg.random_signed_gnp(200, 0.5, rng)]],
+    }
+    for gather, batches in chosen.items():
+        for graphs in batches:
+            assert pads([len(g.adjacency[v]) for g in graphs for v in range(g.n)]) == (gather == "padded")
+            assert gathers_used(graphs) == {gather}
+    # Under the rule a K1 reads one padded zero column, and a star with its
+    # leaves' single reads padded out to its degree does not fit.
+    assert pads([0]) and not pads([4, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("gather", GATHERS)
+@settings(max_examples=30, deadline=None)
+@given(g=wide_connected_signed_graphs())
+def test_routes_agree_with_each_gather_on_wide_graphs(gather, g):
+    with forced_gather(gather):
+        assert assert_routes_agree(g) is not None
+
+
+@pytest.mark.parametrize("bound", [1, 1 << 20])
+@pytest.mark.parametrize("gather", GATHERS)
+def test_routes_agree_with_each_gather(monkeypatch, gather, bound):
+    # Long cycles and paths, Petersen x C7 and small graphs, connected or
+    # not, with every source word in a block of its own under a bound of 1.
+    rng = random.Random(bound)
+    graphs = [
+        sg.cycle_graph(150, [-1 if i % 3 == 0 else 1 for i in range(150)]),
+        sg.path_graph(130, [(-1) ** i for i in range(129)]),
+        sg.cartesian(
+            sg.petersen_signing([rng.choice((1, -1)) for _ in range(15)]),
+            sg.cycle_graph(7, [rng.choice((1, -1)) for _ in range(7)]),
+        ),
+        star(20),
+        K1,
+        sg.SignedGraph(2, ()),
+        sg.SignedGraph.from_edges(150, [(v, v + 1, 1) for v in range(149) if v != 127]),
+    ]
+    monkeypatch.setattr(distance, "_GATHER_WORDS", bound)
+    with forced_gather(gather):
+        assert gathers_used([graphs[0]]) == {gather}
+        for g in graphs:
+            assert (assert_routes_agree(g) is not None) == sg.is_connected(g)
+
+
 def test_flags_read_every_word(monkeypatch):
     # Source 129 sits in the third word; one shared bit there decides, for
     # the graph that owns column 7.
@@ -447,6 +548,27 @@ def test_batch_with_k1_anywhere_matches_each_graph_alone(batch):
             assert np.array_equal(a[: b.shape[0], offset : offset + g.n], b)
             assert not a[b.shape[0] :, offset : offset + g.n].any()
         offset += g.n
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        [K1, star(20), C70, K1],
+        [sg.SignedGraph(3, ((0, 1, -1),)), C4_ONE_NEG, sg.path_graph(500, [(-1) ** (v // 7) for v in range(499)])],
+        [sg.petersen_signing([(-1) ** (i // 2) for i in range(15)])] * 5 + [K1],
+    ],
+    ids=["k1-star-cycle", "disconnected-path500", "petersen-k1"],
+)
+def test_gathers_give_the_same_words_on_a_batch(batch):
+    # The batches hold K1s and disconnected graphs: both gathers must read
+    # the zero column for a vertex of degree 0.
+    words = {}
+    for gather in GATHERS:
+        with forced_gather(gather):
+            run = distance._Run.of(batch)
+        words[gather] = word_ints((run.pos, run.neg, run.planes)), run.reached()
+    assert words["padded"] == words["reduceat"]
+    assert words["padded"][1] == [sg.is_connected(g) for g in batch]
 
 
 @settings(max_examples=40, deadline=None)

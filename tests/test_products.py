@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import sgdist as sg
 from sgdist import distance, products
-from sgdist.distance import _opposite_paths
+from sgdist.distance import _edge_rows, _opposite_paths
 from conftest import nx_path_signs, random_balanced_connected, random_connected_signed, to_networkx
 
 import networkx as nx
@@ -412,7 +412,7 @@ def test_opposite_paths_certify_every_reported_pair():
     sd = sg.signed_distances(prod)
     for u in range(prod.n):
         vs = [v for v in range(prod.n) if sd.incompatible[u, v]]
-        for v, (p_pos, p_neg) in zip(vs, _opposite_paths(prod, sd, [(u, v) for v in vs])):
+        for v, (p_pos, p_neg) in zip(vs, _opposite_paths(prod, sd, [(u, v) for v in vs], _edge_rows([prod]))):
             for path, sign in ((p_pos, 1), (p_neg, -1)):
                 assert (path[0], path[-1], len(path) - 1) == (u, v, sd.dist[u, v])
                 assert math.prod(prod.sign(a, b) for a, b in zip(path, path[1:])) == sign
@@ -445,7 +445,7 @@ def test_opposite_paths_reject_corrupted_distances():
     ]
     for g, sd in cases:
         with pytest.raises(RuntimeError, match=r"pair \(0,2\)"):
-            _opposite_paths(g, sd, [(0, 2)])
+            _opposite_paths(g, sd, [(0, 2)], _edge_rows([g]))
 
 
 def test_witness_certifies_row_u_of_its_tables():
@@ -455,14 +455,14 @@ def test_witness_certifies_row_u_of_its_tables():
     # certificate of row u, the row the walk read, sees it.
     g = sg.SignedGraph.from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1), (1, 4, -1)])
     sd = sg.signed_distances(g)
-    assert _opposite_paths(g, sd, [(0, 2)]) == [([0, 1, 2], [0, 3, 2])]
+    assert _opposite_paths(g, sd, [(0, 2)], _edge_rows([g])) == [([0, 1, 2], [0, 3, 2])]
     for name, value in (("dist", 1), ("dist", 3), ("pos", True), ("neg", False)):
         arrays = {"dist": sd.dist.copy(), "pos": sd.pos.copy(), "neg": sd.neg.copy()}
         arrays[name][0, 4] = value
         bad = sg.SignedDistances(**arrays)
         assert not np.array_equal(getattr(bad, name), getattr(bad, name).T)
         with pytest.raises(RuntimeError, match=r"^pair \(0,4\): distance \d+, positive \w+ and negative \w+ fail"):
-            _opposite_paths(g, bad, [(0, 2)])
+            _opposite_paths(g, bad, [(0, 2)], _edge_rows([g]))
 
 
 def test_certificate_refuses_a_step_off_the_graph():
@@ -470,7 +470,7 @@ def test_certificate_refuses_a_step_off_the_graph():
     # negative sign; its step 3-2 is not an edge of g.
     g = sg.SignedGraph(5, ((0, 1, 1), (0, 3, -1), (1, 2, 1), (3, 4, 1)))
     with pytest.raises(RuntimeError, match=r"^pair \(0,2\): path \[0, 3, 2\] of sign -1 fails"):
-        distance._certify_paths(g, sg.signed_distances(g), [(0, 2)], [([0, 1, 2], [0, 3, 2])])
+        distance._certify_paths(g, sg.signed_distances(g), [(0, 2)], [([0, 1, 2], [0, 3, 2])], _edge_rows([g]))
 
 
 def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
