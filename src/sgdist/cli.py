@@ -92,17 +92,18 @@ def _cmd_dist(args) -> int:
 def _cmd_compat(args) -> int:
     g = _read_graph(args.file)
     u, v = distance._sorted_pair_arrays(distance.signed_distances(g))
+    # The pairs' text, joined from "[u, " and "v], " pieces for json or
+    # "(u," and "v) " pieces for text, written through tables over the
+    # vertices; the separator after the last pair is cut.
+    lead, mid, end = ("[", ", ", "], ") if args.format == "json" else ("(", ",", ") ")
+    pieces = np.empty(2 * len(u), dtype=object)
+    pieces[0::2] = np.array([f"{lead}{x}{mid}" for x in range(g.n)], dtype=object)[u]
+    pieces[1::2] = np.array([f"{x}{end}" for x in range(g.n)], dtype=object)[v]
+    body = "".join(pieces.tolist()).rstrip(", ")
     if args.format == "json":
-        # The json.dumps text of the pairs, joined from "[u, " and "v], "
-        # pieces written through tables; the last ", " is cut.
-        firsts = np.array([f"[{x}, " for x in range(g.n)], dtype=object)
-        seconds = np.array([f"{x}], " for x in range(g.n)], dtype=object)
-        pieces = np.empty(2 * len(u), dtype=object)
-        pieces[0::2], pieces[1::2] = firsts[u], seconds[v]
-        body = "".join(pieces.tolist())[:-2]
         _emit(args, f'{{"compatible": {json.dumps(not len(u))}, "incompatible_pairs": [{body}]}}')
     elif len(u):
-        _emit(args, "incompatible: " + " ".join(f"({a},{b})" for a, b in zip(u.tolist(), v.tolist())))
+        _emit(args, "incompatible: " + body)
     else:
         _emit(args, "compatible")
     return EXIT_OK

@@ -39,9 +39,15 @@ the half-edges: each source's distances form a shortest-path potential and
 its signs follow the signed BFS recurrence, which proves the incompatible
 pairs sound and complete.  `_certify` drives it over `(vertex, source)`
 tables: every source of a batch, when `_Run.tables` is given edge rows to
-check against (the conjecture search's products and factors), or chosen
-sources of one graph (row u of a witness, whose path steps are checked
-against the same edges).
+check against (the conjecture search's products and factors), or the one
+source u of a witness.
+
+A witness takes one pair, the first incompatible pair in (distance, u, v)
+order.  `_opposite_paths` walks its positive and its negative shortest path
+back through row u of the tables, and `_certify_path` checks each path
+against the graph's edge rows: its steps are edges, its sign is the one
+walked for and its length is the tables' distance.  Row u itself passes
+`_certify` against the same edges, so that distance is the hop distance.
 
 `signed_bfs` and `brute_force_summary` remain as reference routes for
 tests and demos; both take their hop distances from `core._bfs_dist`, so
@@ -520,87 +526,59 @@ class IncompatibilityWitness:
 
 
 def _opposite_paths(
-    g: SignedGraph, sd: SignedDistances, pairs: Sequence[tuple[int, int]], edges: np.ndarray
-) -> list[tuple[list[int], list[int]]]:
-    """A positive and a negative shortest u-v path for each pair (u, v) of g,
-    whose `(u, v, sign)` rows `edges` are `_edge_rows([g])`.
+    g: SignedGraph, sd: SignedDistances, u: int, v: int, edges: np.ndarray
+) -> tuple[list[int], list[int]]:
+    """A positive and a negative shortest u-v path of g, each walked back
+    from v through row u of `sd`, at every step taking the first neighbour
+    one hop closer to u through which the remaining sign is achievable.
 
-    Each path is walked back from v through row u of `sd`, at every step
-    taking the first neighbour one hop closer to u through which the
-    remaining sign is achievable.  All paths are then certified together,
-    independently of the walk, by `_certify_paths`.  Raises RuntimeError
-    naming the pair when `sd` does not support a path or a path fails its
-    certificate; no uncertified path is returned.
+    Both paths must pass `_certify_path` against g's `(u, v, sign)` rows
+    `edges`, `_edge_rows([g])`, and row u of `sd` must pass `_certify`
+    against them, so no uncertified path is returned.  RuntimeError names
+    the pair when a certificate fails or `sd` supports no path of a sign.
     """
-    rows: dict[int, list[list]] = {}
-    out = []
-    for u, v in pairs:
-        if u not in rows:
-            rows[u] = [a[u].tolist() for a in (sd.dist, sd.pos, sd.neg)]
-        dist, pos, neg = rows[u]
-        paths = []
-        for target in (1, -1):
-            path, need, cur = [v], target, v
-            while cur != u:
-                for w, sgn in g.adjacency[cur]:
-                    rem = need * sgn
-                    if dist[w] == dist[cur] - 1 and (pos[w] if rem > 0 else neg[w]):
-                        path.append(w)
-                        cur, need = w, rem
-                        break
-                else:
-                    raise RuntimeError(f"pair ({u},{v}): no shortest path of sign {target:+d} in the distances")
-            path.reverse()
-            paths.append(path)
-        out.append(tuple(paths))
-    if out:
-        _certify_paths(g, sd, pairs, out, edges)
-    return out
+    dist, pos, neg = (a[u].tolist() for a in (sd.dist, sd.pos, sd.neg))
+    paths = []
+    for target in (1, -1):
+        path, need, cur = [v], target, v
+        while cur != u:
+            for w, sgn in g.adjacency[cur]:
+                rem = need * sgn
+                if dist[w] == dist[cur] - 1 and (pos[w] if rem > 0 else neg[w]):
+                    path.append(w)
+                    cur, need = w, rem
+                    break
+            else:
+                raise RuntimeError(f"pair ({u},{v}): no shortest path of sign {target:+d} in the distances")
+        path.reverse()
+        paths.append(path)
+    for path, target in zip(paths, (1, -1)):
+        _certify_path(g, sd, u, v, path, target, edges)
+    # Row u, read as the tables from source u: the row the walks read.
+    _certify(edges, [g.m], [g.n], [u], sd.dist.T[:, [u]], sd.pos.T[:, [u]], sd.neg.T[:, [u]])
+    return paths[0], paths[1]
 
 
-def _certify_paths(
-    g: SignedGraph,
-    sd: SignedDistances,
-    pairs: Sequence[tuple[int, int]],
-    paths: list[tuple[list[int], list[int]]],
-    edges: np.ndarray,
+def _certify_path(
+    g: SignedGraph, sd: SignedDistances, u: int, v: int, path: list[int], target: int, edges: np.ndarray
 ) -> None:
-    """Raise RuntimeError naming the first pair whose positive or negative
-    path from `_opposite_paths` is not a shortest path of its sign in g.
+    """Raise RuntimeError naming the pair (u, v) unless `path` has its steps
+    among the edges of g, sign `target` and length `sd.dist[u, v]`.
 
-    The steps of all paths are checked in one numpy pass: each is searched
-    for among the edge keys u*n + v of `edges`, the rows of the sorted
-    `g.edges`, and a path's
-    sign is the parity of its negative steps.  A path's length must equal
-    `sd.dist[u, v]`, and row u of `sd` must pass `_certify` against those
-    same edges, so the length is the hop distance.
+    Each step is searched for among the edge keys u*n + v of `edges`, the
+    rows of the sorted `g.edges`, and the path's sign is the product of its
+    steps' signs.
     """
-    flat = [p for pp in paths for p in pp]
-    lengths = np.fromiter(map(len, flat), dtype=np.intp, count=len(flat))
-    verts = np.fromiter(chain.from_iterable(flat), dtype=np.intp, count=int(lengths.sum()))
-    ends = np.cumsum(lengths)
-    # Step i of the concatenation joins a vertex to the next one of its path.
-    a, b = np.delete(verts, ends - 1), np.delete(verts, ends - lengths)
+    verts = np.array(path, dtype=np.intp)
+    a, b = verts[:-1], verts[1:]
     keys = np.minimum(a, b) * g.n + np.maximum(a, b)
     edge_keys = edges[:, 0] * g.n + edges[:, 1]
     at = np.minimum(np.searchsorted(edge_keys, keys), g.m - 1)
-    found = edge_keys[at] == keys
-    step_path = np.repeat(np.arange(len(flat)), lengths - 1)
-    missing = np.bincount(step_path, weights=~found, minlength=len(flat)) > 0
-    negative = np.bincount(step_path, weights=found & (edges[at, 2] < 0), minlength=len(flat)) % 2 == 1
-    u, v = np.array(pairs).T
-    want = np.repeat(sd.dist[u, v], 2)
-    wrong = missing | (negative != np.tile([False, True], len(pairs))) | (lengths - 1 != want)
-    if wrong.any():
-        i = int(np.argmax(wrong))
-        (u, v), target = pairs[i // 2], 1 - 2 * (i % 2)
+    if not (np.array_equal(edge_keys[at], keys) and np.prod(edges[at, 2]) == target and len(keys) == sd.dist[u, v]):
         raise RuntimeError(
-            f"pair ({u},{v}): path {flat[i]} of sign {target:+d} fails its certificate "
+            f"pair ({u},{v}): path {path} of sign {target:+d} fails its certificate "
             f"against distance {sd.dist[u, v]}"
         )
-    # Row u of each table, read as the tables from source u: the rows the walks read.
-    us = np.array(list(dict.fromkeys(u for u, _ in pairs)))
-    _certify(edges, [g.m], [g.n], us, sd.dist.T[:, us], sd.pos.T[:, us], sd.neg.T[:, us])
 
 
 def _signed_adjacency(g: SignedGraph) -> np.ndarray:
@@ -695,6 +673,10 @@ def _certify(
     source is past their graph's order are ignored.  The half-edges are
     built from the edge rows by `_half_edges`, and the sources run in
     blocks of at most `_CERT_CELLS` gathered cells.
+
+    `_Run.tables` runs it over every source of a batch; a witness runs it
+    over the one source u of its pair, row u of its tables read as the
+    tables from u, to hold its two paths to the hop distance.
     """
     half = _half_edges(edges, orders, sizes)
     # Per vertex, as a column: its order and its number in its graph.
@@ -736,7 +718,7 @@ def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:
         return None
     least = bad & (sd.dist == sd.dist[bad].min())
     u, v = divmod(int(np.argmax(least)), g.n)
-    [(p_pos, p_neg)] = _opposite_paths(g, sd, [(u, v)], run.edges)
+    p_pos, p_neg = _opposite_paths(g, sd, u, v, run.edges)
     if set(p_pos[1:-1]) & set(p_neg[1:-1]):
         raise AssertionError(f"opposite-sign shortest paths of least incompatible pair ({u},{v}) intersect")
     return IncompatibilityWitness(

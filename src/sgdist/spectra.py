@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import SignedGraph
 from .distance import SignedDistances, _signed_adjacency, signed_distances
+from .products import uniform_sign
 
 __all__ = [
     "IntPolynomial",
@@ -337,8 +338,6 @@ def lexicographic_distance_formula(g1: SignedGraph, g2: SignedGraph) -> np.ndarr
     Requires g1 connected and compatible with at least 2 vertices (so every
     copy has a neighboring copy) and g2 all-positive or all-negative.
     """
-    from .products import uniform_sign
-
     if g1.n < 2:
         raise ValueError("lexicographic formula requires the first factor to have >= 2 vertices")
     if not uniform_sign(g2):

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -273,6 +274,47 @@ def test_conjecture_golden_large_products(capsys, tmp_path):
     )
 
 
+def witness_graphs():
+    """Seeded connected incompatible graphs: G(n, 2 ln(n)/n) of order 8-120,
+    C_150 with one negative edge, and G(300, 6/300) and a negative C_300."""
+    rng = random.Random(20)
+
+    def draw(n, p):
+        while True:
+            g = sg.random_signed_gnp(n, p, rng)
+            if sg.is_connected(g) and not sg.is_compatible(g):
+                return g
+
+    graphs = [draw(n, min(1.0, 2 * math.log(n) / n)) for n in (8, 8, 11, 15, 20, 28, 40, 55, 75, 100, 120)]
+    graphs.append(sg.cycle_graph(150, [-1] + [1] * 149))
+    graphs.append(draw(300, 6 / 300))
+    signs = [rng.choice((1, -1)) for _ in range(300)]
+    signs[0] = -math.prod(signs[1:])
+    graphs.append(sg.cycle_graph(300, signs))
+    return graphs
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "570836ce6792d6ab80e142bf34e63361e9d71a4983bb3e54b27a9ea1ffcc46da"),
+        ("json", "014b855a5ec4bcdb6f416aec6097f66ff46066f751f165d488cc5e041c48f493"),
+    ],
+    ids=["text", "json"],
+)
+def test_witness_golden(capsys, tmp_path, fmt, digest):
+    # Pins the bytes of `witness`; the least incompatible pairs lie at
+    # distance 2 on the random graphs and at 75 and 150 on the cycles.
+    out = []
+    for i, g in enumerate(witness_graphs()):
+        path = tmp_path / f"g{i}.sg"
+        path.write_text(sg.serialize_edge_list(g), encoding="utf-8")
+        code, printed, err = invoke(capsys, "witness", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+        out.append(printed)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+
 def test_outputs_deterministic(fixtures, capsys, tmp_path):
     commands = [
         ("info", fixtures["pplus"]),
@@ -418,6 +460,8 @@ def test_compat_json_matches_json_dumps(capsys, tmp_path, g, n_pairs):
     assert len(pairs) == n_pairs
     want = json.dumps({"compatible": not pairs, "incompatible_pairs": [list(p) for p in pairs]})
     assert invoke(capsys, "compat", str(path), "--format", "json") == (0, want + "\n", "")
+    text = "incompatible: " + " ".join(f"({u},{v})" for u, v in pairs) if pairs else "compatible"
+    assert invoke(capsys, "compat", str(path)) == (0, text + "\n", "")
 
 
 def test_module_entry_point_runs_the_cli(fixtures, tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -412,8 +413,8 @@ def test_opposite_paths_certify_every_reported_pair():
     sd = sg.signed_distances(prod)
     for u in range(prod.n):
         vs = [v for v in range(prod.n) if sd.incompatible[u, v]]
-        for v, (p_pos, p_neg) in zip(vs, _opposite_paths(prod, sd, [(u, v) for v in vs], _edge_rows([prod]))):
-            for path, sign in ((p_pos, 1), (p_neg, -1)):
+        for v in vs:
+            for path, sign in zip(_opposite_paths(prod, sd, u, v, _edge_rows([prod])), (1, -1)):
                 assert (path[0], path[-1], len(path) - 1) == (u, v, sd.dist[u, v])
                 assert math.prod(prod.sign(a, b) for a, b in zip(path, path[1:])) == sign
 
@@ -445,7 +446,7 @@ def test_opposite_paths_reject_corrupted_distances():
     ]
     for g, sd in cases:
         with pytest.raises(RuntimeError, match=r"pair \(0,2\)"):
-            _opposite_paths(g, sd, [(0, 2)], _edge_rows([g]))
+            _opposite_paths(g, sd, 0, 2, _edge_rows([g]))
 
 
 def test_witness_certifies_row_u_of_its_tables():
@@ -455,22 +456,33 @@ def test_witness_certifies_row_u_of_its_tables():
     # certificate of row u, the row the walk read, sees it.
     g = sg.SignedGraph.from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1), (1, 4, -1)])
     sd = sg.signed_distances(g)
-    assert _opposite_paths(g, sd, [(0, 2)], _edge_rows([g])) == [([0, 1, 2], [0, 3, 2])]
+    assert _opposite_paths(g, sd, 0, 2, _edge_rows([g])) == ([0, 1, 2], [0, 3, 2])
     for name, value in (("dist", 1), ("dist", 3), ("pos", True), ("neg", False)):
         arrays = {"dist": sd.dist.copy(), "pos": sd.pos.copy(), "neg": sd.neg.copy()}
         arrays[name][0, 4] = value
         bad = sg.SignedDistances(**arrays)
         assert not np.array_equal(getattr(bad, name), getattr(bad, name).T)
         with pytest.raises(RuntimeError, match=r"^pair \(0,4\): distance \d+, positive \w+ and negative \w+ fail"):
-            _opposite_paths(g, bad, [(0, 2)], _edge_rows([g]))
+            _opposite_paths(g, bad, 0, 2, _edge_rows([g]))
 
 
 def test_certificate_refuses_a_step_off_the_graph():
-    # [0, 3, 2] has the BFS length and, through its one real edge, the
-    # negative sign; its step 3-2 is not an edge of g.
-    g = sg.SignedGraph(5, ((0, 1, 1), (0, 3, -1), (1, 2, 1), (3, 4, 1)))
-    with pytest.raises(RuntimeError, match=r"^pair \(0,2\): path \[0, 3, 2\] of sign -1 fails"):
-        distance._certify_paths(g, sg.signed_distances(g), [(0, 2)], [([0, 1, 2], [0, 3, 2])], _edge_rows([g]))
+    # d(0, 2) = 2 through 0-1-2, which is positive; 0-3-4-2 is negative.
+    g = sg.SignedGraph(5, ((0, 1, 1), (0, 3, -1), (1, 2, 1), (2, 4, 1), (3, 4, 1)))
+    sd, edges = sg.signed_distances(g), _edge_rows([g])
+    distance._certify_path(g, sd, 0, 2, [0, 1, 2], 1, edges)
+    cases = [
+        # the BFS length and, through its one real edge, the negative sign;
+        # its step 3-2 is not an edge of g
+        ([0, 3, 2], -1),
+        # a negative path of real edges, one step too long
+        ([0, 3, 4, 2], -1),
+        # a shortest path of real edges, of the other sign
+        ([0, 1, 2], -1),
+    ]
+    for path, target in cases:
+        with pytest.raises(RuntimeError, match=rf"^pair \(0,2\): path {re.escape(str(path))} of sign {target:+d} fails"):
+            distance._certify_path(g, sd, 0, 2, path, target, edges)
 
 
 def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
