@@ -45,7 +45,7 @@ __all__ = [
 def _check_pattern(signs: Sequence[int], expected: int, what: str) -> tuple[int, ...]:
     if len(signs) != expected:
         raise ValueError(f"{what} needs {expected} signs, got {len(signs)}")
-    return tuple(int(s) for s in signs)
+    return tuple(_check_sign(s) for s in signs)
 
 
 def path_graph(n: int, signs: Sequence[int]) -> SignedGraph:
@@ -68,8 +68,8 @@ def complete_graph(n: int, sign: int = 1) -> SignedGraph:
     """Complete graph with one uniform sign."""
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
-    _check_sign(sign)
-    return SignedGraph(n, tuple((u, v, sign) for u in range(n) for v in range(u + 1, n)))
+    s = _check_sign(sign)
+    return SignedGraph._trusted(n, tuple((u, v, s) for u in range(n) for v in range(u + 1, n)))
 
 
 # Canonical edge order for Petersen sign vectors: outer, inner, spokes.

@@ -245,7 +245,7 @@ def switch(g: SignedGraph, zeta: Sequence[int]) -> SignedGraph:
     if len(zeta) != g.n:
         raise ValueError(f"switching function has length {len(zeta)}, graph order {g.n}")
     z = [_check_sign(s) for s in zeta]
-    return SignedGraph(g.n, tuple((u, v, z[u] * s * z[v]) for u, v, s in g.edges))
+    return g.with_signs([z[u] * s * z[v] for u, v, s in g.edges])
 
 
 def _check_vertex(g: SignedGraph, v: int) -> None:

@@ -745,7 +745,8 @@ def associated_complete(g: SignedGraph, which: str = "max") -> SignedGraph:
     # its ends, so the pass already holds its sign.
     signs = np.where(sd.pos, 1, -1) if w == "max" else np.where(sd.neg, -1, 1)
     iu, iv = np.triu_indices(g.n, k=1)
-    return SignedGraph(g.n, tuple(zip(iu.tolist(), iv.tolist(), signs[iu, iv].tolist())))
+    # triu_indices runs row by row, so the pairs come sorted with u < v.
+    return SignedGraph._trusted(g.n, tuple(zip(iu.tolist(), iv.tolist(), signs[iu, iv].tolist())))
 
 
 def brute_force_summary(g: SignedGraph, u: int, v: int, max_n: int = 12) -> PairDistanceSummary:

@@ -1,9 +1,13 @@
 """Cartesian, lexicographic and tensor products of signed graphs.
 
 Product vertices (i, k) are flattened row-major to i*n2 + k so that the
-Kronecker-block distance formulas line up with the vertex order.  Also
-here: odd/even walk distances, the tensor distance formula, executable
-checks of the product compatibility theorems, and a randomized search for
+Kronecker-block distance formulas line up with the vertex order.  The
+products' signed adjacency matrices have Kronecker forms in the factors'
+A1, A2, identities I and all-ones J: A1 kron I + I kron A2 (cartesian),
+A1 kron J + I kron A2 (lexicographic) and A1 kron A2 (tensor), and each
+product is built as that expansion of edge rows (`_kron`).  Also here:
+odd/even walk distances, the tensor distance formula, executable checks of
+the product compatibility theorems, and a randomized search for
 tensor-product counterexamples.
 
 The conjecture search runs no Python BFS or path walk per graph.  Each
@@ -60,55 +64,45 @@ def index_pair(idx: int, n2: int) -> tuple[int, int]:
     return divmod(idx, n2)
 
 
-# The three products index (i, j) as i*n2 + j inline and emit every edge
-# (i,j) ~ (k,l) with its ends already in order: either the first
-# coordinate moves along a factor edge i < k, or it is fixed and the second
-# moves along j < l.  So every edge meets the constructor's u < v as built.
+def _kron(a, b, n2: int) -> list[tuple[int, int, int]]:
+    """The rows (i*n2 + j, k*n2 + l, s*t) of every row (i, k, s) of `a` with
+    every row (j, l, t) of `b`: the Kronecker product of two signed
+    relations, on the row-major product vertices.
+
+    In the products below every row has u < v: either `a` holds factor
+    edges, so i < k, or it is the identity (i = k) and `b` holds factor
+    edges, so j < l.  No row repeats: (i, k, j, l) -> (u, v) is one-to-one
+    as j, l < n2, no operand repeats a row, and the two terms of a sum
+    differ in whether i = k.
+    """
+    return [(i * n2 + j, k * n2 + l, s * t) for i, k, s in a for j, l, t in b]
+
+
+def _identity(n: int) -> list[tuple[int, int, int]]:
+    return [(j, j, 1) for j in range(n)]
 
 
 def cartesian(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     """(i,j) ~ (k,l) iff one coordinate is fixed and the other moves along an
-    edge; the product edge copies that edge's sign."""
-    n2 = g2.n
-    edges = []
-    for i, k, s in g1.edges:
-        a, b = i * n2, k * n2
-        for j in range(n2):
-            edges.append((a + j, b + j, s))
-    for j, l, s in g2.edges:
-        for a in range(0, g1.n * n2, n2):
-            edges.append((a + j, a + l, s))
-    return SignedGraph(g1.n * n2, tuple(edges))
+    edge; the product edge copies that edge's sign: A1 kron I + I kron A2."""
+    edges = _kron(g1.edges, _identity(g2.n), g2.n) + _kron(_identity(g1.n), g2.edges, g2.n)
+    return SignedGraph._trusted(g1.n * g2.n, tuple(sorted(edges)))
 
 
 def lexicographic(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     """(i,j) ~ (k,l) iff i ~ k, or i = k and j ~ l; the sign comes from the
-    first coordinate when it moves, from the second otherwise."""
-    n2 = g2.n
-    edges = []
-    for i, k, s in g1.edges:
-        a, b = i * n2, k * n2
-        for x in range(a, a + n2):
-            for y in range(b, b + n2):
-                edges.append((x, y, s))
-    for a in range(0, g1.n * n2, n2):
-        for j, l, s in g2.edges:
-            edges.append((a + j, a + l, s))
-    return SignedGraph(g1.n * n2, tuple(edges))
+    first coordinate when it moves, from the second otherwise:
+    A1 kron J + I kron A2."""
+    ones = [(j, l, 1) for j in range(g2.n) for l in range(g2.n)]
+    edges = _kron(g1.edges, ones, g2.n) + _kron(_identity(g1.n), g2.edges, g2.n)
+    return SignedGraph._trusted(g1.n * g2.n, tuple(sorted(edges)))
 
 
 def tensor(g1: SignedGraph, g2: SignedGraph) -> SignedGraph:
     """(i,j) ~ (k,l) iff both coordinates move along edges; the sign is the
-    product of the two factor edge signs.  May be disconnected."""
-    n2 = g2.n
-    edges = []
-    for i, k, s1 in g1.edges:
-        a, b = i * n2, k * n2
-        for j, l, s2 in g2.edges:
-            s = s1 * s2
-            edges.append((a + j, b + l, s))
-            edges.append((a + l, b + j, s))
-    return SignedGraph(g1.n * n2, tuple(edges))
+    product of the two factor edge signs: A1 kron A2.  May be disconnected."""
+    both_ways = g2.edges + tuple((l, j, t) for j, l, t in g2.edges)
+    return SignedGraph._trusted(g1.n * g2.n, tuple(sorted(_kron(g1.edges, both_ways, g2.n))))
 
 
 def tensor_is_connected(g1: SignedGraph, g2: SignedGraph) -> bool:
@@ -293,8 +287,7 @@ def _sample_factor_pairs(rngs: list[random.Random], max_n: int) -> list[list[tup
                 rng = rngs[i]
                 if rng.random() < 0.5:
                     zeta = [rng.choice((1, -1)) for _ in range(g.n)]
-                    # The edges of a valid graph, with signs +1 or -1: trusted as they are.
-                    accepted = (SignedGraph._trusted(g.n, tuple((u, v, zeta[u] * zeta[v]) for u, v, _ in g.edges)), odd)
+                    accepted = (g.with_signs([zeta[u] * zeta[v] for u, v, _ in g.edges]), odd)
                 elif not bad:
                     accepted = (g, odd)
             if accepted or tries[i] == _ATTEMPTS:

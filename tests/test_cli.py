@@ -315,6 +315,24 @@ def test_witness_golden(capsys, tmp_path, fmt, digest):
     assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("cartesian", "d9e1caa833ad8cc5ef93900badfe73ae91ccd021cd2cd0d47b3cdd221e3de102"),
+        ("lex", "734affb0ea23d82a4694e32c2481da8d6e87841d499b3790ff3148a5390a4f8d"),
+        ("tensor", "01ceb6ed666fdeb1abd41217d9b02fe9bb99513ee4f0fdc21c7235acaa6ad92b"),
+    ],
+)
+def test_product_golden(fixtures, capsys, kind, digest):
+    # Pins the bytes of `product` on the four ordered pairs of P+ and C3.
+    out = []
+    for a, b in (("pplus", "c3"), ("c3", "pplus"), ("pplus", "pplus"), ("c3", "c3")):
+        code, printed, err = invoke(capsys, "product", "--kind", kind, fixtures[a], fixtures[b])
+        assert (code, err) == (0, "")
+        out.append(printed)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+
 def test_outputs_deterministic(fixtures, capsys, tmp_path):
     commands = [
         ("info", fixtures["pplus"]),

@@ -157,7 +157,8 @@ def test_numpy_integer_vertices_accepted():
 def test_edges_are_stored_as_plain_ints(u, v, s):
     # Validated values are stored as the checks return them: plain ints, so
     # the edges print, hash and serialize as the +1/-1 graph they stand for.
-    for g in (sg.SignedGraph(2, ((u, v, s),)), sg.SignedGraph.from_edges(2, [(v, u, s)])):
+    # complete_graph skips the constructor, so it must store its sign so too.
+    for g in (sg.SignedGraph(2, ((u, v, s),)), sg.SignedGraph.from_edges(2, [(v, u, s)]), sg.complete_graph(2, s)):
         assert all(type(x) is int for x in g.edges[0])
         assert g.edges == ((0, 1, int(s)),) and g == sg.SignedGraph(2, ((0, 1, int(s)),))
         assert json.dumps(g.edges) == f"[[0, 1, {int(s)}]]"
@@ -165,23 +166,42 @@ def test_edges_are_stored_as_plain_ints(u, v, s):
 
 @pytest.mark.parametrize("s", [1.5, -0.5, "1", None])
 def test_non_sign_values_are_refused_on_both_constructors(s):
-    for build in (lambda: sg.SignedGraph(2, ((0, 1, s),)), lambda: sg.SignedGraph.from_edges(2, [(1, 0, s)])):
+    # The generators' sign patterns are outside input as well.
+    for build in (
+        lambda: sg.SignedGraph(2, ((0, 1, s),)),
+        lambda: sg.SignedGraph.from_edges(2, [(1, 0, s)]),
+        lambda: sg.path_graph(3, [s, -1]),
+        lambda: sg.cycle_graph(3, [s, 1, -1]),
+        lambda: sg.petersen_signing([s] + [1] * 14),
+    ):
         with pytest.raises(ValueError, match=f"^sign must be \\+1 or -1, got {re.escape(repr(s))}$"):
             build()
 
 
 def test_generated_graphs_equal_checked_ones():
-    # random_signed_gnp and with_signs skip the constructor's checks; their
-    # graphs must equal the same edges passed through them.
+    # Graphs derived from valid ones skip the constructor's checks; each
+    # must equal the same edges passed through them.
     rng = random.Random(4)
-    for _ in range(40):
-        g = sg.random_signed_gnp(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng)
-        h = g.with_signs([rng.choice((1, -1)) for _ in g.edges])
-        for x in (g, h):
+    graphs = [sg.random_signed_gnp(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng) for _ in range(40)]
+    for g, g2 in zip(graphs, graphs[1:] + graphs[:1]):
+        derived = [
+            g,
+            g.with_signs([rng.choice((1, -1)) for _ in g.edges]),
+            sg.switch(g, [rng.choice((1, -1)) for _ in range(g.n)]),
+            sg.cartesian(g, g2),
+            sg.lexicographic(g, g2),
+            sg.tensor(g, g2),
+            sg.complete_graph(g.n, rng.choice((1, -1))),
+        ]
+        if g.n > 1 and sg.is_connected(g):
+            derived += [sg.associated_complete(g, "max"), sg.associated_complete(g, "min")]
+        for x in derived:
             y = sg.SignedGraph(x.n, x.edges)
             assert x == y and hash(x) == hash(y) and x.adjacency == y.adjacency
     with pytest.raises(ValueError, match="^sign must be \\+1 or -1, got 0$"):
         sg.complete_graph(3).with_signs([1, 0, 1])
+    with pytest.raises(ValueError, match="^sign must be \\+1 or -1, got 0$"):
+        sg.switch(sg.complete_graph(3), [1, 0, 1])
 
 
 # -- switching ----------------------------------------------------------------

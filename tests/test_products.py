@@ -185,7 +185,10 @@ def _reference_product_edges(kind, g1, g2):
 
 def test_products_equal_normalised_reference_edge_lists():
     rng = random.Random(29)
-    factors = [K1, K2P, K2N, C3P] + [random_connected_signed(rng, 2, 6) for _ in range(6)]
+    # An edgeless factor and two K2 of opposite sign leave the identity and
+    # all-ones rows of the Kronecker forms to carry the product.
+    edgeless, two_k2 = sg.SignedGraph(3, ()), sg.SignedGraph(4, ((0, 1, 1), (2, 3, -1)))
+    factors = [K1, K2P, K2N, C3P, edgeless, two_k2] + [random_connected_signed(rng, 2, 6) for _ in range(6)]
     for g1 in factors:
         for g2 in factors:
             for kind, build in (("cartesian", sg.cartesian), ("lexicographic", sg.lexicographic), ("tensor", sg.tensor)):
