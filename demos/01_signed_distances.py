@@ -11,10 +11,11 @@ import sgdist as sg
 g = sg.cycle_graph(4, [-1, 1, 1, 1])
 print("edges:", g.edges)
 
-# Signed BFS from vertex 0 reports, per target, the hop distance and the
-# extreme achievable shortest-path signs.
-for v, summary in enumerate(sg.signed_bfs(g, 0)):
-    print(f"  0 -> {v}: {summary}")
+# One pass from every source reports, per pair, the hop distance and
+# whether a positive / a negative shortest path exists.
+sd = sg.signed_distances(g)
+for v in range(g.n):
+    print(f"  0 -> {v}: dist={sd.dist[0, v]} pos={sd.pos[0, v]} neg={sd.neg[0, v]}")
 
 # The two distance matrices weight each distance by the max / min sign.
 dmax = sg.distance_matrix(g, "max")

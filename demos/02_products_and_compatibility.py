@@ -59,7 +59,9 @@ k4_one_neg = sg.complete_graph(4, 1).with_signs(
 assert sg.is_compatible(k2) and sg.is_compatible(k4_one_neg)
 prod = sg.tensor(k2, k4_one_neg)
 pair = (sg.pair_index(0, 0, 4), sg.pair_index(0, 1, 4))
-print("K2 (x) K4(one neg) summary at", pair, "->", sg.brute_force_summary(prod, *pair))
+sd = sg.signed_distances(prod)
+print(f"K2 (x) K4(one neg) at {pair}: dist={sd.dist[pair]} pos={sd.pos[pair]} neg={sd.neg[pair]}")
+assert sd.pos[pair] and sd.neg[pair]
 assert not sg.is_compatible(prod)
 
 # The randomized search finds such pairs on its own; every reported product's

@@ -31,15 +31,12 @@ from .core import (
 )
 from .distance import (
     IncompatibilityWitness,
-    PairDistanceSummary,
     SignedDistances,
     associated_complete,
-    brute_force_summary,
     distance_matrix,
     incompatible_pairs,
     is_compatible,
     least_incompatible_witness,
-    signed_bfs,
     signed_distances,
 )
 from .products import (

@@ -34,9 +34,20 @@ def _read_graph(path: str) -> core.SignedGraph:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _write(path: Path, text: str, parents: bool = False) -> None:
+    """Write `text` to `path`, after making its missing directories when
+    `parents`; ValueError naming the path when either fails."""
+    try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args, payload: str) -> None:
     if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
+        _write(Path(args.output), payload)
     else:
         end = "" if payload.endswith("\n") else "\n"
         print(payload, end=end)
@@ -250,16 +261,9 @@ def _cmd_conjecture(args) -> int:
             }
         )
         outdir = Path(args.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"candidate_{cand.trial}_g1.sg").write_text(
-            core.serialize_edge_list(cand.g1), encoding="utf-8"
-        )
-        (outdir / f"candidate_{cand.trial}_g2.sg").write_text(
-            core.serialize_edge_list(cand.g2), encoding="utf-8"
-        )
-        (outdir / f"candidate_{cand.trial}.json").write_text(
-            json.dumps(records[-1]), encoding="utf-8"
-        )
+        _write(outdir / f"candidate_{cand.trial}_g1.sg", records[-1]["g1"], parents=True)
+        _write(outdir / f"candidate_{cand.trial}_g2.sg", records[-1]["g2"])
+        _write(outdir / f"candidate_{cand.trial}.json", json.dumps(records[-1]))
     _emit(
         args,
         json.dumps(

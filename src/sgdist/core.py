@@ -4,10 +4,12 @@ A signed graph is a simple undirected graph whose edges carry a sign in
 {+1, -1}.  Vertices are dense 0-based integers.  Signs are plain Python
 ints; every boundary that accepts a sign validates it.
 
-Every hop-distance or 2-colouring question in the package goes through one
-of two breadth-first searches here: `_bfs_dist`, the unsigned hop distances
-from one source, and `_potential`, the +1/-1 vertex labelling that exists
-iff the graph is balanced (or, with every edge read as negative, bipartite).
+Signed distances and compatibility come from the all-sources pass of
+`distance`.  The package's other breadth-first searches are the two here:
+`_bfs_dist`, the unsigned hop distances from one source (connectivity,
+geodeticity and the odd/even walks of `products`), and `_potential`, the
++1/-1 vertex labelling that exists iff the graph is balanced (or, with
+every edge read as negative, bipartite).
 """
 
 from __future__ import annotations
@@ -46,9 +48,15 @@ def _check_sign(s: int) -> int:
     return int(s)
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int) -> int:
+    """The vertex count n as a plain int; ValueError unless it is an integer >= 1."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"vertex count must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
+    return n
 
 
 def _check_ends(u, v) -> tuple[int, int]:
@@ -74,10 +82,10 @@ class SignedGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        _check_order(self.n)
+        object.__setattr__(self, "n", _check_order(self.n))
         # Checked before sorting: sorting a malformed triple raises TypeError.
         # The checks' plain ints are stored, so floats, bools and numpy
-        # scalars never reach `edges`, and the tuples hash by value.
+        # scalars never reach `n` or `edges`, and the tuples hash by value.
         checked = []
         for u, v, s in self.edges:
             u, v = _check_ends(u, v)

@@ -48,10 +48,6 @@ back through row u of the tables, and `_certify_path` checks each path
 against the graph's edge rows: its steps are edges, its sign is the one
 walked for and its length is the tables' distance.  Row u itself passes
 `_certify` against the same edges, so that distance is the hop distance.
-
-`signed_bfs` and `brute_force_summary` remain as reference routes for
-tests and demos; both take their hop distances from `core._bfs_dist`, so
-this module runs no BFS loop of its own besides the all-sources pass.
 """
 
 from __future__ import annotations
@@ -62,79 +58,18 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import SignedGraph, _bfs_dist, _check_vertex
+from .core import SignedGraph
 
 __all__ = [
-    "PairDistanceSummary",
     "SignedDistances",
     "signed_distances",
     "IncompatibilityWitness",
-    "signed_bfs",
     "distance_matrix",
     "is_compatible",
     "incompatible_pairs",
     "least_incompatible_witness",
     "associated_complete",
-    "brute_force_summary",
 ]
-
-
-@dataclass(frozen=True)
-class PairDistanceSummary:
-    """Hop distance plus the maximum and minimum shortest-path signs."""
-
-    d: int
-    sigma_max: int
-    sigma_min: int
-
-    @property
-    def d_max(self) -> int:
-        return self.sigma_max * self.d
-
-    @property
-    def d_min(self) -> int:
-        return self.sigma_min * self.d
-
-    @property
-    def compatible(self) -> bool:
-        return self.sigma_max == self.sigma_min
-
-
-def signed_bfs(g: SignedGraph, s: int) -> list[PairDistanceSummary | None]:
-    """Exact distance and achievable shortest-path signs from s to every vertex.
-
-    Hop distances come from one unsigned BFS; then, in order of distance,
-    each vertex unions the signs obtained by extending the (already final)
-    sign sets of its neighbours one hop closer to s.  Entries for vertices
-    unreachable from s are None.
-    """
-    _check_vertex(g, s)
-    dist = _bfs_dist(g, s)
-    pos = [False] * g.n  # a positive shortest path from s exists
-    neg = [False] * g.n  # a negative shortest path from s exists
-    pos[s] = True
-    for v in sorted((v for v in range(g.n) if dist[v] > 0), key=dist.__getitem__):
-        for u, sgn in g.adjacency[v]:
-            if dist[u] == dist[v] - 1:
-                if sgn > 0:
-                    pos[v] = pos[v] or pos[u]
-                    neg[v] = neg[v] or neg[u]
-                else:
-                    pos[v] = pos[v] or neg[u]
-                    neg[v] = neg[v] or pos[u]
-    out: list[PairDistanceSummary | None] = []
-    for v in range(g.n):
-        if dist[v] < 0:
-            out.append(None)
-        else:
-            out.append(
-                PairDistanceSummary(
-                    d=dist[v],
-                    sigma_max=1 if pos[v] else -1,
-                    sigma_min=-1 if neg[v] else 1,
-                )
-            )
-    return out
 
 
 _DISCONNECTED = "graph is disconnected; signed distances are undefined"
@@ -748,37 +683,3 @@ def associated_complete(g: SignedGraph, which: str = "max") -> SignedGraph:
     # triu_indices runs row by row, so the pairs come sorted with u < v.
     return SignedGraph._trusted(g.n, tuple(zip(iu.tolist(), iv.tolist(), signs[iu, iv].tolist())))
 
-
-def brute_force_summary(g: SignedGraph, u: int, v: int, max_n: int = 12) -> PairDistanceSummary:
-    """Test oracle: enumerate every shortest u-v path and summarize its signs.
-
-    Takes hop distances from the unsigned BFS `core._bfs_dist` and walks
-    back from v by depth-first search along distance-decreasing edges,
-    multiplying signs path by path; no sign set is merged, so it stays
-    independent of signed_bfs.  Bounded to small graphs because enumeration
-    is exhaustive.  Raises ValueError when the BFS from u leaves a vertex
-    unreached.
-    """
-    if g.n > max_n:
-        raise ValueError(f"oracle bound exceeded: n={g.n} > {max_n}")
-    _check_vertex(g, u)
-    _check_vertex(g, v)
-    dist = _bfs_dist(g, u)
-    if -1 in dist:
-        raise ValueError(_DISCONNECTED)
-    signs: set[int] = set()
-
-    def walk_back(x: int, acc: int) -> None:
-        if x == u:
-            signs.add(acc)
-            return
-        for y, sgn in g.adjacency[x]:
-            if dist[y] == dist[x] - 1:
-                walk_back(y, acc * sgn)
-
-    walk_back(v, 1)
-    return PairDistanceSummary(
-        d=dist[v],
-        sigma_max=max(signs),
-        sigma_min=min(signs),
-    )

@@ -223,7 +223,7 @@ def check_product_compatibility_theorems(g1: SignedGraph, g2: SignedGraph) -> di
 
 def random_signed_gnp(n: int, p: float, rng: random.Random) -> SignedGraph:
     """Erdos-Renyi underlying graph with independent uniform edge signs."""
-    _check_order(n)
+    n = _check_order(n)
     edges = []
     for u in range(n):
         for v in range(u + 1, n):

@@ -22,6 +22,7 @@ from conftest import (
     random_connected_signed,
     to_networkx,
 )
+from oracles import brute_force_summary, signed_bfs
 
 import networkx as nx
 
@@ -216,13 +217,19 @@ def test_criterion_7_oracle_equivalence():
     checked_graphs = 0
 
     def check(g):
+        # The per-source BFS, the path enumeration and the library's
+        # all-sources pass must agree on every ordered pair.
         nonlocal mismatches
+        sd = sg.signed_distances(g)
+        d_max, d_min = sd.d_max, sd.d_min
         for u in range(g.n):
-            out = sg.signed_bfs(g, u)
+            out = signed_bfs(g, u)
             for v in range(g.n):
                 if v == u:
                     continue
-                if out[v] != sg.brute_force_summary(g, u, v):
+                if out[v] != brute_force_summary(g, u, v):
+                    mismatches += 1
+                if (sd.dist[u, v], d_max[u, v], d_min[u, v]) != (out[v].d, out[v].d_max, out[v].d_min):
                     mismatches += 1
 
     for _ in range(500):
@@ -366,7 +373,7 @@ def test_criterion_10_conjecture_harness_behavior():
         assert sg.tensor_is_connected(cand.g1, cand.g2)
         prod = sg.tensor(cand.g1, cand.g2)
         for u, v in cand.product_pairs:
-            assert not sg.brute_force_summary(prod, u, v, max_n=prod.n).compatible
+            assert not brute_force_summary(prod, u, v, max_n=prod.n).compatible
     report(
         10,
         True,

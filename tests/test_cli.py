@@ -498,3 +498,24 @@ def test_module_entry_point_runs_the_cli(fixtures, tmp_path):
     assert code == 1 and out == "" and err.startswith("error: cannot read ")
     code, out, err = module("nosuch")
     assert code == 2 and out == "" and "invalid choice" in err
+
+
+@pytest.mark.parametrize("command", ["dist", "conjecture"])
+def test_write_error_is_domain_error(fixtures, tmp_path, command):
+    # An output path that cannot be written ends in `error: cannot write`,
+    # exit 1, without a traceback: a missing directory for `-o`, an existing
+    # file for `--outdir`.
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    if command == "dist":
+        target = tmp_path / "missing" / "x.json"
+        argv = ["dist", fixtures["c4"], "-o", str(target)]
+    else:
+        target = blocker
+        argv = ["conjecture", "--trials", "50", "--max-n", "7", "--seed", "2", "--outdir", str(target)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgdist.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: cannot write {target}") and "Traceback" not in proc.stderr

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import sgdist as sg
 from sgdist.core import _bfs_dist
 from conftest import random_balanced_connected, random_connected_signed, to_networkx
+from oracles import brute_force_summary, signed_bfs
 
 import networkx as nx
 
@@ -176,6 +177,24 @@ def test_non_sign_values_are_refused_on_both_constructors(s):
     ):
         with pytest.raises(ValueError, match=f"^sign must be \\+1 or -1, got {re.escape(repr(s))}$"):
             build()
+
+
+@pytest.mark.parametrize(
+    "n, want", [(True, 1), (np.int64(3), 3), (np.uint8(2), 2), (2.5, None), (3.0, None), ("3", None), (None, None)]
+)
+def test_vertex_count_is_stored_as_a_plain_int(n, want):
+    # The order is outside input too: an integer, bools and numpy scalars
+    # included, is stored as a plain int; anything else is refused.
+    for build in (lambda: sg.SignedGraph(n, ()), lambda: sg.random_signed_gnp(n, 0.5, random.Random(1))):
+        if want is None:
+            with pytest.raises(ValueError, match=f"^vertex count must be an integer, got {re.escape(repr(n))}$"):
+                build()
+        else:
+            g = build()
+            assert type(g.n) is int and g.n == want
+            assert isinstance(sg.is_connected(g), bool)
+    if want is not None:
+        assert repr(sg.SignedGraph(n, ())) == f"SignedGraph(n={want}, edges=())"
 
 
 def test_generated_graphs_equal_checked_ones():
@@ -488,11 +507,11 @@ C5 = sg.cycle_graph(5, [1, -1, 1, 1, 1])
     "call",
     [
         lambda x: sg.net_degree(C5, x),
-        lambda x: sg.signed_bfs(C5, x),
+        lambda x: signed_bfs(C5, x),
         lambda x: sg.odd_even_distance(C5, x, 0),
         lambda x: sg.odd_even_distance(C5, 0, x),
-        lambda x: sg.brute_force_summary(C5, x, 0),
-        lambda x: sg.brute_force_summary(C5, 0, x),
+        lambda x: brute_force_summary(C5, x, 0),
+        lambda x: brute_force_summary(C5, 0, x),
         lambda x: sg.tensor_distance(C5, sg.complete_graph(2), (0, 0), (x, x)),
         lambda x: sg.tensor_distance(C5, sg.complete_graph(2), (x, 0), (0, 1)),
     ],

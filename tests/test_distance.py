@@ -17,6 +17,7 @@ from conftest import (
     random_connected_signed,
     to_networkx,
 )
+from oracles import PairDistanceSummary, brute_force_summary, signed_bfs
 
 import networkx as nx
 
@@ -26,33 +27,33 @@ C4_ONE_NEG = sg.cycle_graph(4, [-1, 1, 1, 1])
 # -- signed BFS ---------------------------------------------------------------
 
 def test_signed_bfs_c4_one_negative():
-    out = sg.signed_bfs(C4_ONE_NEG, 0)
-    assert out[2] == sg.PairDistanceSummary(d=2, sigma_max=1, sigma_min=-1)
+    out = signed_bfs(C4_ONE_NEG, 0)
+    assert out[2] == PairDistanceSummary(d=2, sigma_max=1, sigma_min=-1)
 
 
 def test_signed_bfs_unique_path():
     g = sg.path_graph(3, [1, -1])
-    out = sg.signed_bfs(g, 0)
-    assert out[2] == sg.PairDistanceSummary(d=2, sigma_max=-1, sigma_min=-1)
+    out = signed_bfs(g, 0)
+    assert out[2] == PairDistanceSummary(d=2, sigma_max=-1, sigma_min=-1)
 
 
 def test_signed_bfs_petersen_nonadjacent():
     g = sg.petersen_graph()
-    out = sg.signed_bfs(g, 0)
+    out = signed_bfs(g, 0)
     for v in range(1, 10):
         if not g.has_edge(0, v):
-            assert out[v] == sg.PairDistanceSummary(d=2, sigma_max=1, sigma_min=1)
+            assert out[v] == PairDistanceSummary(d=2, sigma_max=1, sigma_min=1)
 
 
 def test_signed_bfs_unreachable_is_none():
     g = sg.SignedGraph(3, ((0, 1, 1),))
-    out = sg.signed_bfs(g, 0)
+    out = signed_bfs(g, 0)
     assert out[2] is None
 
 
 def test_signed_bfs_bad_source():
     with pytest.raises(ValueError, match="out of range"):
-        sg.signed_bfs(C4_ONE_NEG, 9)
+        signed_bfs(C4_ONE_NEG, 9)
 
 
 def test_signed_bfs_matches_networkx_path_enumeration():
@@ -60,7 +61,7 @@ def test_signed_bfs_matches_networkx_path_enumeration():
     for _ in range(40):
         g = random_connected_signed(rng, 2, 8)
         for u in range(g.n):
-            out = sg.signed_bfs(g, u)
+            out = signed_bfs(g, u)
             for v in range(g.n):
                 if u == v:
                     continue
@@ -73,7 +74,7 @@ def test_signed_bfs_matches_networkx_path_enumeration():
 # -- brute-force oracle -------------------------------------------------------
 
 def test_oracle_c4():
-    assert sg.brute_force_summary(C4_ONE_NEG, 0, 2) == sg.PairDistanceSummary(2, 1, -1)
+    assert brute_force_summary(C4_ONE_NEG, 0, 2) == PairDistanceSummary(2, 1, -1)
 
 
 def test_oracle_tree_unique_sign():
@@ -84,19 +85,19 @@ def test_oracle_tree_unique_sign():
         g = sg.SignedGraph.from_edges(n, edges)
         for u in range(n):
             for v in range(u + 1, n):
-                summ = sg.brute_force_summary(g, u, v)
+                summ = brute_force_summary(g, u, v)
                 assert summ.sigma_max == summ.sigma_min
 
 
 def test_oracle_petersen_distance_two():
     g = sg.petersen_graph()
-    assert sg.brute_force_summary(g, 0, 2) == sg.PairDistanceSummary(2, 1, 1)
+    assert brute_force_summary(g, 0, 2) == PairDistanceSummary(2, 1, 1)
 
 
 def test_oracle_size_bound():
     big = sg.path_graph(13, [1] * 12)
     with pytest.raises(ValueError, match="oracle bound"):
-        sg.brute_force_summary(big, 0, 1)
+        brute_force_summary(big, 0, 1)
 
 
 def test_oracle_rejects_disconnected():
@@ -104,9 +105,9 @@ def test_oracle_rejects_disconnected():
     g = sg.SignedGraph.from_edges(5, [(0, 1, 1), (1, 2, -1), (3, 4, 1)])
     msg = re.escape("graph is disconnected; signed distances are undefined")
     with pytest.raises(ValueError, match=msg):
-        sg.brute_force_summary(g, 0, 2)
+        brute_force_summary(g, 0, 2)
     with pytest.raises(ValueError, match=msg):
-        sg.brute_force_summary(g, 0, 4)
+        brute_force_summary(g, 0, 4)
 
 
 def test_signed_bfs_agrees_with_oracle_on_random_graphs():
@@ -114,10 +115,10 @@ def test_signed_bfs_agrees_with_oracle_on_random_graphs():
     for _ in range(60):
         g = random_connected_signed(rng, 2, 8)
         for u in range(g.n):
-            out = sg.signed_bfs(g, u)
+            out = signed_bfs(g, u)
             for v in range(g.n):
                 if v != u:
-                    assert out[v] == sg.brute_force_summary(g, u, v)
+                    assert out[v] == brute_force_summary(g, u, v)
 
 
 # -- all-sources signed distances -------------------------------------------
@@ -128,7 +129,7 @@ def bfs_rows(g):
     pos = np.zeros((g.n, g.n), dtype=bool)
     neg = np.zeros((g.n, g.n), dtype=bool)
     for s in range(g.n):
-        for v, summ in enumerate(sg.signed_bfs(g, s)):
+        for v, summ in enumerate(signed_bfs(g, s)):
             dist[s, v] = summ.d
             pos[s, v] = summ.sigma_max == 1
             neg[s, v] = summ.sigma_min == -1
@@ -178,7 +179,7 @@ def test_signed_distances_match_bfs_rows_and_oracle(g):
     for u in range(g.n):
         for v in range(g.n):
             if u != v:
-                summ = sg.brute_force_summary(g, u, v)
+                summ = brute_force_summary(g, u, v)
                 assert (sd.dist[u, v], sd.pos[u, v], sd.neg[u, v]) == (
                     summ.d,
                     summ.sigma_max == 1,
@@ -287,7 +288,7 @@ def assert_routes_agree(g):
     are the `signed_bfs` rows bit for bit, and for n <= 12 each pair matches
     `brute_force_summary`; a graph the references find disconnected is
     refused with the exact message.  Returns the bitsets as Python ints."""
-    if None in sg.signed_bfs(g, 0):
+    if None in signed_bfs(g, 0):
         with pytest.raises(ValueError, match=f"^{DISCONNECTED}$"):
             signed_bits([g])
         return None
@@ -300,7 +301,7 @@ def assert_routes_agree(g):
     if g.n <= 12:
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                summ = sg.brute_force_summary(g, u, v)
+                summ = brute_force_summary(g, u, v)
                 bit = (got[0][u] >> v & 1, got[1][u] >> v & 1)
                 assert bit == (summ.sigma_max == 1, summ.sigma_min == -1)
                 assert sum((p[u] >> v & 1) << k for k, p in enumerate(got[2])) == summ.d
@@ -802,7 +803,7 @@ def test_is_compatible_agrees_with_arrays_and_oracle(g):
         return
     compatible = sg.is_compatible(g)
     assert compatible == (not sg.signed_distances(g).incompatible.any())
-    oracle = all(sg.brute_force_summary(g, u, v).compatible for u in range(g.n) for v in range(u + 1, g.n))
+    oracle = all(brute_force_summary(g, u, v).compatible for u in range(g.n) for v in range(u + 1, g.n))
     assert compatible == oracle
     if g.n == 1:
         assert compatible
