@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SignedGraph, _SIGN_TOKENS, _check_sign
+from .core import SignedGraph, _SIGN_TOKENS, _check_sign, _vertex_count
 from .distance import _connected_run
 from .spectra import IntPolynomial, _compatible_matrix, char_poly_batch
 
@@ -66,6 +66,7 @@ def cycle_graph(n: int, signs: Sequence[int]) -> SignedGraph:
 
 def complete_graph(n: int, sign: int = 1) -> SignedGraph:
     """Complete graph with one uniform sign."""
+    n = _vertex_count(n)
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
     s = _check_sign(sign)

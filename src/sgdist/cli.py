@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 domain error (bad graph, violated hypothesis),
 2 usage error, 3 formula-vs-direct disagreement (reserved for bug
 detection).  Results go to stdout (or -o FILE), errors to stderr.
+
+An existing output file (`-o FILE`, or a `conjecture --outdir` candidate)
+is overwritten in place: the new text is written over the old bytes and the
+file is then cut at its end.  Neither this nor a truncate-first write is
+atomic: a crash mid-write can leave old bytes after the new ones, where a
+truncate-first write could leave a short file.
 """
 
 from __future__ import annotations
@@ -10,6 +16,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -36,11 +44,20 @@ def _read_graph(path: str) -> core.SignedGraph:
 
 def _write(path: Path, text: str, parents: bool = False) -> None:
     """Write `text` to `path`, after making its missing directories when
-    `parents`; ValueError naming the path when either fails."""
+    `parents`; ValueError naming the path when either fails.
+
+    The file is not truncated first, but cut after the write, and only when
+    it is a regular file (a FIFO or /dev/null cannot be cut): on ext4,
+    truncating a file whose blocks are on disk frees them and starts
+    writeback when the file is closed.
+    """
     try:
         if parents:
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
+            f.write(text)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
@@ -250,6 +267,7 @@ def _cmd_petersen_table(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     found = products.conjecture_search(args.trials, max_n=args.max_n, seed=args.seed)
+    outdir = Path(args.outdir)
     records = []
     for cand in found:
         records.append(
@@ -260,8 +278,9 @@ def _cmd_conjecture(args) -> int:
                 "incompatible_product_pairs": [list(p) for p in cand.product_pairs],
             }
         )
-        outdir = Path(args.outdir)
-        _write(outdir / f"candidate_{cand.trial}_g1.sg", records[-1]["g1"], parents=True)
+        # outdir is made with the first candidate's file, so a search that
+        # finds nothing makes no directory.
+        _write(outdir / f"candidate_{cand.trial}_g1.sg", records[-1]["g1"], parents=len(records) == 1)
         _write(outdir / f"candidate_{cand.trial}_g2.sg", records[-1]["g2"])
         _write(outdir / f"candidate_{cand.trial}.json", json.dumps(records[-1]))
     _emit(

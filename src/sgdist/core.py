@@ -48,12 +48,18 @@ def _check_sign(s: int) -> int:
     return int(s)
 
 
-def _check_order(n: int) -> int:
-    """The vertex count n as a plain int; ValueError unless it is an integer >= 1."""
+def _vertex_count(n: int) -> int:
+    """The vertex count n as a plain int; ValueError unless it is an integer
+    (Python or numpy)."""
     try:
-        n = operator.index(n)
+        return operator.index(n)
     except TypeError:
         raise ValueError(f"vertex count must be an integer, got {n!r}") from None
+
+
+def _check_order(n: int) -> int:
+    """The vertex count n as a plain int; ValueError unless it is an integer >= 1."""
+    n = _vertex_count(n)
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     return n

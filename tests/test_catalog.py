@@ -5,6 +5,7 @@ import pytest
 
 import sgdist as sg
 from sgdist import distance
+from sgdist.cli import run
 from conftest import to_networkx
 
 import networkx as nx
@@ -39,6 +40,21 @@ def test_cycle_fixture():
 def test_complete_all_negative_unbalanced():
     g = sg.complete_graph(3, -1)
     assert not sg.is_balanced(g)
+
+
+def test_complete_graph_stores_a_numpy_order_as_int():
+    g = sg.complete_graph(np.int64(3))
+    assert type(g.n) is int and g == sg.complete_graph(3)
+
+
+def test_complete_graph_refuses_a_non_integer_order():
+    with pytest.raises(ValueError, match=r"^vertex count must be an integer, got 3\.0$"):
+        sg.complete_graph(3.0)
+
+
+def test_gen_complete_zero_keeps_its_message(capsys):
+    assert run(["gen", "complete", "0", "+"]) == 1
+    assert capsys.readouterr() == ("", "error: complete graph needs n >= 1, got 0\n")
 
 
 def test_path_generator():

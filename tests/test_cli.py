@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -519,3 +520,111 @@ def test_write_error_is_domain_error(fixtures, tmp_path, command):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith(f"error: cannot write {target}") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["dist-missing-dir", "dist-directory", "conjecture-directory"])
+def test_unwritable_target_names_path_and_errno(fixtures, capsys, tmp_path, case):
+    # A missing directory or a directory in the place of the file: exit 1
+    # and `error: cannot write PATH: [Errno N] ...` naming the file.
+    if case == "dist-missing-dir":
+        target = tmp_path / "missing" / "x.json"
+    else:
+        target = tmp_path / "candidate_7_g1.sg"
+        target.mkdir()
+    if case.startswith("dist"):
+        argv = ["dist", fixtures["c4"], "-o", str(target)]
+    else:
+        argv = ["conjecture", "--trials", "50", "--max-n", "7", "--seed", "2", "--outdir", str(tmp_path)]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(rf"error: cannot write {re.escape(str(target))}: \[Errno \d+\] .+\n", err), err
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_output_file_longer_than_new_bytes_is_cut(fixtures, capsys, tmp_path, monkeypatch):
+    # An existing file longer than the new output ends up holding exactly the
+    # new bytes, and is never opened with O_TRUNC.
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *rest):
+        flags.append((os.fspath(path), flag))
+        return real_open(path, flag, *rest)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    fresh = tmp_path / "fresh.json"
+    assert invoke(capsys, "dist", fixtures["c4"], "-o", str(fresh)) == (0, "", "")
+    stale = tmp_path / "stale.json"
+    stale.write_text("x" * 10_000 + "\n", encoding="utf-8")
+    assert invoke(capsys, "dist", fixtures["c4"], "-o", str(stale)) == (0, "", "")
+    assert stale.read_bytes() == fresh.read_bytes()
+    opened = [f for p, f in flags if p == str(stale)]
+    assert opened and not any(f & os.O_TRUNC for f in opened)
+
+
+def test_conjecture_candidate_longer_than_new_bytes_is_cut(capsys, tmp_path):
+    argv = ["conjecture", "--trials", "50", "--max-n", "7", "--seed", "2", "--outdir"]
+    code, out, _ = invoke(capsys, *argv, str(tmp_path / "fresh"))
+    trial = json.loads(out)["counterexamples"][0]["trial"]
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    for suffix in ("_g1.sg", "_g2.sg", ".json"):
+        (stale / f"candidate_{trial}{suffix}").write_text("0 0\n" * 5_000, encoding="utf-8")
+    assert invoke(capsys, *argv, str(stale)) == (code, out, "")
+    assert _files(stale) == _files(tmp_path / "fresh")
+
+
+def test_output_to_dev_null_and_fifo(fixtures, capsys, tmp_path):
+    # Targets that cannot be cut are written to and left alone.
+    assert invoke(capsys, "dist", fixtures["c4"], "-o", os.devnull) == (0, "", "")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert invoke(capsys, "dist", fixtures["c4"], "-o", str(fifo)) == (0, "", "")
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert invoke(capsys, "dist", fixtures["c4"]) == (0, received.decode() + "\n", "")
+
+
+def test_new_output_file_mode_matches_write_text(fixtures, capsys, tmp_path):
+    old = os.umask(0o027)
+    try:
+        reference = tmp_path / "reference"
+        reference.write_text("", encoding="utf-8")
+        target = tmp_path / "out.json"
+        assert invoke(capsys, "dist", fixtures["c4"], "-o", str(target)) == (0, "", "")
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode == reference.stat().st_mode == 0o100640
+
+
+def test_conjecture_rerun_into_one_outdir_matches_fresh_run(capsys, tmp_path):
+    # Seed 2 then seed 9 into one outdir: seed 9's stdout and every file it
+    # names equal those of a fresh seed-9 run, including the files of the
+    # trial both report, which seed 9 writes shorter than seed 2 did.
+    def conjecture(seed, outdir):
+        code, out, err = invoke(
+            capsys, "conjecture", "--trials", "50", "--max-n", "7", "--seed", str(seed), "--outdir", str(outdir)
+        )
+        assert (code, err) == (0, "")
+        names = set()
+        for rec in json.loads(out)["counterexamples"]:
+            t = rec["trial"]
+            names |= {f"candidate_{t}_g1.sg", f"candidate_{t}_g2.sg", f"candidate_{t}.json"}
+        return out, names
+
+    shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+    _, names_a = conjecture(2, shared)
+    before = _files(shared)
+    out_b, names_b = conjecture(9, shared)
+    fresh_out, fresh_names = conjecture(9, fresh)
+    assert out_b == fresh_out and names_b == fresh_names
+    after, expected = _files(shared), _files(fresh)
+    assert {n: after[n] for n in names_b} == expected
+    overlap = names_a & names_b
+    assert overlap and any(len(expected[n]) < len(before[n]) for n in overlap)
