@@ -232,9 +232,15 @@ def _representative_keys(codes: np.ndarray) -> np.ndarray:
     Edge 0 is the first tuple position and -1 < +1, so among codes with
     equal popcount the smaller tuple has the larger bit-reversed code.
     """
-    bits = (codes[:, None] >> np.arange(15)) & 1
-    reversed_code = bits @ (1 << np.arange(14, -1, -1))
-    return (bits.sum(axis=1) << 15) | ((1 << 15) - 1 - reversed_code)
+    # Popcount and bit reversal accumulate over the 15 edge bits of the 1-D
+    # codes, so the census builds no (codes, 15) int64 bit matrix (3.9 MB).
+    count = np.zeros_like(codes)
+    reversed_code = np.zeros_like(codes)
+    for k in range(15):
+        bit = codes >> k & 1
+        count += bit
+        reversed_code |= bit << (14 - k)
+    return (count << 15) | ((1 << 15) - 1 - reversed_code)
 
 
 def _distance_matrices(codes: list[int]) -> np.ndarray:

@@ -268,32 +268,28 @@ def _cmd_petersen_table(args) -> int:
 def _cmd_conjecture(args) -> int:
     found = products.conjecture_search(args.trials, max_n=args.max_n, seed=args.seed)
     outdir = Path(args.outdir)
-    records = []
+    # Each record is encoded once: its text is both the candidate's .json
+    # file and its entry in stdout's list, which json.dumps joins by ", ".
+    texts = []
     for cand in found:
-        records.append(
-            {
-                "trial": cand.trial,
-                "g1": core.serialize_edge_list(cand.g1),
-                "g2": core.serialize_edge_list(cand.g2),
-                "incompatible_product_pairs": [list(p) for p in cand.product_pairs],
-            }
+        g1, g2 = core.serialize_edge_list(cand.g1), core.serialize_edge_list(cand.g2)
+        texts.append(
+            json.dumps(
+                {
+                    "trial": cand.trial,
+                    "g1": g1,
+                    "g2": g2,
+                    "incompatible_product_pairs": [list(p) for p in cand.product_pairs],
+                }
+            )
         )
         # outdir is made with the first candidate's file, so a search that
         # finds nothing makes no directory.
-        _write(outdir / f"candidate_{cand.trial}_g1.sg", records[-1]["g1"], parents=len(records) == 1)
-        _write(outdir / f"candidate_{cand.trial}_g2.sg", records[-1]["g2"])
-        _write(outdir / f"candidate_{cand.trial}.json", json.dumps(records[-1]))
-    _emit(
-        args,
-        json.dumps(
-            {
-                "trials": args.trials,
-                "max_n": args.max_n,
-                "seed": args.seed,
-                "counterexamples": records,
-            }
-        ),
-    )
+        _write(outdir / f"candidate_{cand.trial}_g1.sg", g1, parents=len(texts) == 1)
+        _write(outdir / f"candidate_{cand.trial}_g2.sg", g2)
+        _write(outdir / f"candidate_{cand.trial}.json", texts[-1])
+    head = json.dumps({"trials": args.trials, "max_n": args.max_n, "seed": args.seed})
+    _emit(args, f'{head[:-1]}, "counterexamples": [{", ".join(texts)}]}}')
     return EXIT_OK
 
 

@@ -195,44 +195,46 @@ def parse_edge_list(text: str) -> SignedGraph:
     """
     n = m = None
     edges: list[tuple[int, int, int]] = []
-    seen_pairs: set[tuple[int, int]] = set()
+    seen_pairs: set[int] = set()
+    # Each line is split once; its stripped text is only built for a message.
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if n is None:
             if len(parts) != 2:
-                raise EdgeListError(line_no, f"expected header 'n m', got {line!r}")
+                raise EdgeListError(line_no, f"expected header 'n m', got {raw.strip()!r}")
             try:
                 n, m = int(parts[0]), int(parts[1])
             except ValueError:
-                raise EdgeListError(line_no, f"non-integer header {line!r}") from None
+                raise EdgeListError(line_no, f"non-integer header {raw.strip()!r}") from None
             if n < 1:
                 raise EdgeListError(line_no, f"vertex count must be >= 1, got {n}")
             if m < 0:
                 raise EdgeListError(line_no, f"edge count must be >= 0, got {m}")
             continue
         if len(parts) != 3:
-            raise EdgeListError(line_no, f"expected 'u v s', got {line!r}")
+            raise EdgeListError(line_no, f"expected 'u v s', got {raw.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise EdgeListError(line_no, f"non-integer vertex in {line!r}") from None
+            raise EdgeListError(line_no, f"non-integer vertex in {raw.strip()!r}") from None
         s = _SIGN_TOKENS.get(parts[2])
         if s is None:
             raise EdgeListError(line_no, f"bad sign {parts[2]!r} (use +, -, +1 or -1)")
         if u == v:
             raise EdgeListError(line_no, f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListError(line_no, f"vertex index out of range in {line!r} (n={n})")
-        key = (min(u, v), max(u, v))
+            raise EdgeListError(line_no, f"vertex index out of range in {raw.strip()!r} (n={n})")
+        if u > v:
+            u, v = v, u
+        key = u * n + v
         if key in seen_pairs:
-            raise EdgeListError(line_no, f"duplicate edge ({key[0]},{key[1]})")
+            raise EdgeListError(line_no, f"duplicate edge ({u},{v})")
         seen_pairs.add(key)
         if len(edges) == m:
             raise EdgeListError(line_no, f"more than the declared {m} edges")
-        edges.append((*key, s))
+        edges.append((u, v, s))
     if n is None:
         raise EdgeListError(1, "empty input, expected header 'n m'")
     if len(edges) != m:

@@ -8,9 +8,10 @@ signs.  A graph is (distance-)compatible when sigma_max = sigma_min for
 every pair, i.e. the two distance matrices coincide.
 
 All-pairs results come from one BFS run from every source at once over
-bitsets of sources (`_edge_bitsets`), packed into uint64 words, where
-each level is one numpy gather over all half-edges and one OR per
-vertex, in one of two forms chosen by `_pads` from the batch's degrees.
+bitsets of sources (`_edge_bitsets`), packed into uint64 words and kept
+vertex-major, one `(N, W)` row of W words per vertex, where each level is
+one numpy gather over all half-edges and one OR per vertex, in one of two
+forms chosen by `_pads` from the batch's degrees.
 When they are low and even (largest degree at most 8, and padding to it
 adds at most half the reads), as on cycles, paths and cubic graphs, a
 padded neighbour table is gathered and reduced along its rows, so a long
@@ -128,9 +129,9 @@ def _edge_rows(graphs: Sequence[SignedGraph]) -> np.ndarray:
 def _pads(degree: int, columns: int, reads: int) -> bool:
     """Whether a level of `_edge_bitsets` gathers through the padded
     neighbour table, for a batch of `columns` vertices whose largest degree
-    is `degree`, where the flat index of one sign reads `reads` columns:
-    sum(max(deg(v), 1)) over the vertices, as a vertex of degree 0 reads the
-    zero column.
+    is `degree`, where the flat index of one sign reads `reads` frontier
+    rows: sum(max(deg(v), 1)) over the vertices, as a vertex of degree 0
+    reads the zero row.
 
     The table has `degree` rows of 2 * `columns` cells.  It is taken when
     `degree` is at most `_PAD_DEGREE` and the table is at most `_PAD_READS`
@@ -162,32 +163,50 @@ def _edge_bitsets(
 
     The batch is one disjoint union: vertex v of a graph is column
     `offset + v`, after the columns of the graphs before it.  Each graph
-    numbers its own sources from bit 0, so the arrays are `(W, N)` uint64,
-    N the sum of the orders and W the words of the largest; bits past a
-    graph's order stay 0.  Components never exchange bits, so every graph
-    gets the bitsets it would get alone.
+    numbers its own sources from bit 0, so the returned arrays are `(W, N)`
+    uint64, N the sum of the orders and W the words of the largest; bits
+    past a graph's order stay 0.  Components never exchange bits, so every
+    graph gets the bitsets it would get alone.  The pass keeps its words
+    vertex-major, as `(N, W)` arrays whose row v holds column v's W words,
+    and returns their transposed views.
 
     A run stops at the first level that reaches nothing new, so it also
     ends on a disconnected graph: there a vertex unreached from a source
     has neither of its sign bits, which `_Run.reached` reads per graph.
 
-    The frontier is one `(W, 2N + 1)` array: positive columns, negative
-    columns and a column that stays 0.  A level is one gather of it along
+    The frontier is one `(2N + 1, W)` array: the positive rows, the
+    negative rows and a row that stays 0.  A level is one gather of it along
     an index of half-edges (a negative edge reads the opposite half) and one
-    OR over each result column's reads, in one of two forms chosen by
-    `_pads` from the batch's degrees:
+    OR over each result row's reads, in one of two forms chosen by `_pads`
+    from the batch's degrees:
     - a padded neighbour table, `(D, 2N)` for the largest degree D, whose
-      row k holds each result column's k-th read and pads with the zero
-      column; the level reduces it along its rows, D - 1 ORs of whole rows.
-      It serves low, even degrees, where padding adds few reads and a long
-      diameter runs many levels.
-    - otherwise the reads of every result column in one flat run, OR-ed by
+      row k holds each result row's k-th read and pads with the zero row;
+      the level gathers whole frontier rows with `take(axis=0)` and reduces
+      along axis 0, D - 1 ORs of whole `(2N, W)` slabs.  It serves low,
+      even degrees, where padding adds few reads and a long diameter runs
+      many levels.
+    - otherwise the reads of every result row in one flat run, OR-ed by
       one `bitwise_or.reduceat`, which costs a loop per run but reads no
       padding on skewed degrees.  `reduceat` does not reduce an empty run
-      to 0, so a vertex of degree 0 reads the zero column.
+      to 0, so a vertex of degree 0 reads the zero row.  This form gathers
+      through the word-major view, `front.T.take(index, axis=1)`, and
+      writes through `front[:-1].T`: a level gathered and reduced along the
+      rows instead took 0.90, 1.02, 2.73 and 2.03 times as long on
+      G(n, 6/n) for n = 300, 1000, 2000 and 4000 (W = 5, 16, 32 and 63).
+    Every other step of a level (the new bits, `unseen`, the frontier masks,
+    `pos`, `neg` and the planes) runs on whole contiguous rows, and a long
+    diameter pays those steps at every level.  On C_300's 300 x 5 words a
+    binary step took about 0.7 us on contiguous rows against 2 us on the
+    strided columns of a word-major `(W, 2N + 1)` frontier (2-CPU Xeon VM),
+    and the pass took 0.69 of its word-major time on C_300 (150 levels) and
+    0.70 on C_1000 (500 levels).
+    No gather buffer is kept across levels: `take(out=)` into one copies
+    internally in mode "raise", and a G(600, 0.3) level through a kept
+    buffer took 1.9 ms against 0.9 ms without one.
     Sources never mix, so the words run in blocks that keep the gathered
     cells, words times the index's size, within `_GATHER_WORDS`; only a
-    graph over the bound on its own needs more than one (see `_batches`).
+    graph over the bound on its own needs more than one (see `_batches`),
+    and its blocks are column slices of the rows.
     """
     total = sum(orders)
     w = -(-max(orders) // _WORD)
@@ -199,11 +218,11 @@ def _edge_bitsets(
     runs = np.bincount(ends.ravel(), minlength=total)
     lone = np.flatnonzero(runs == 0)
     degree = int(runs.max())
-    # Columns of the stacked frontier OR-ed into the positive, then the
-    # negative, result column of each vertex.
+    # Rows of the stacked frontier OR-ed into the positive, then the
+    # negative, result row of each vertex.
     if _pads(degree, total, ends.size + len(lone)):
-        # Row k of the table holds each result column's k-th read, by the
-        # half-edge's rank in its vertex's run; the rest read the zero column.
+        # Row k of the table holds each result row's k-th read, by the
+        # half-edge's rank in its vertex's run; the rest read the zero row.
         half = ends.ravel()
         order = np.argsort(half, kind="stable")
         into = half[order]
@@ -224,21 +243,28 @@ def _edge_bitsets(
         starts = np.concatenate((starts, starts + len(src_pos)))
     cols = np.arange(total)
     v = cols - np.repeat(offsets, orders)
-    pos = np.zeros((w, total), dtype=_U64)
-    pos[v // _WORD, cols] = np.uint64(1) << (v % _WORD).astype(_U64)
-    neg = np.zeros((w, total), dtype=_U64)
-    # The low `fill` bits of word j of a column: its graph's sources there.
-    fill = np.minimum(np.maximum(np.repeat(orders, orders) - _WORD * np.arange(w)[:, None], 0), _WORD).astype(_U64)
+    pos = np.zeros((total, w), dtype=_U64)
+    pos[cols, v // _WORD] = np.uint64(1) << (v % _WORD).astype(_U64)
+    neg = np.zeros((total, w), dtype=_U64)
+    # The low `fill` bits of word j of a row: its graph's sources there.
+    fill = np.minimum(np.maximum(np.repeat(orders, orders)[:, None] - _WORD * np.arange(w), 0), _WORD).astype(_U64)
     unseen = np.where(fill == _WORD, ~np.uint64(0), (np.uint64(1) << fill % np.uint64(_WORD)) - np.uint64(1))
     unseen ^= pos
     planes: list[np.ndarray] = []
     step = max(1, _GATHER_WORDS // index.size)
     for j in range(0, w, step):
-        # Views of this block's words, updated in place.
-        bpos, bneg, bunseen = pos[j : j + step], neg[j : j + step], unseen[j : j + step]
-        front = np.zeros((len(bpos), 2 * total + 1), dtype=_U64)
-        fpos, fneg = front[:, :total], front[:, total:-1]
+        # Views of this block's words, updated in place: the whole arrays
+        # when the block holds every word.
+        bpos, bneg, bunseen = pos[:, j : j + step], neg[:, j : j + step], unseen[:, j : j + step]
+        front = np.zeros((2 * total + 1, bpos.shape[1]), dtype=_U64)
+        fpos, fneg = front[:total], front[total:-1]
+        # The `reduceat` form gathers and writes through word-major views:
+        # along the vertex-major rows it is up to 2.7 times slower.
+        wfront, wout = front.T, front[:-1].T
         fpos[:] = bpos
+        # The block's view of each plane, OR-ed in place: slicing a plane
+        # at every level cost more than the OR on small graphs.
+        bplanes = [plane[:, j : j + step] for plane in planes]
         level = 0
         while bunseen.any():
             # The gathered reads stay a temporary of one statement: held
@@ -246,24 +272,26 @@ def _edge_bitsets(
             # them at every level (about 2500 page faults per pass on a
             # G(600, 0.3)).
             if starts is None:
-                np.bitwise_or.reduce(front.take(index, axis=1), axis=1, out=front[:, :-1])
+                np.bitwise_or.reduce(front.take(index, axis=0), axis=0, out=front[:-1])
             else:
-                np.bitwise_or.reduceat(front.take(index, axis=1), starts, axis=1, out=front[:, :-1])
-            new = (fpos | fneg) & bunseen
+                np.bitwise_or.reduceat(wfront.take(index, axis=1), starts, axis=1, out=wout)
+            new = fpos | fneg
+            new &= bunseen
             if not new.any():
                 break
             level += 1
             if level == 1 << len(planes):
-                planes.append(np.zeros((w, total), dtype=_U64))
+                planes.append(np.zeros((total, w), dtype=_U64))
+                bplanes.append(planes[-1][:, j : j + step])
             bunseen ^= new
             fpos &= new
             fneg &= new
             bpos |= fpos
             bneg |= fneg
-            for k, plane in enumerate(planes):
+            for k, plane in enumerate(bplanes):
                 if level >> k & 1:
-                    plane[j : j + step] |= new
-    return pos, neg, planes
+                    plane |= new
+    return pos.T, neg.T, [plane.T for plane in planes]
 
 
 def _batches(orders: Sequence[int], sizes: Sequence[int]) -> Iterator[slice]:
@@ -272,7 +300,7 @@ def _batches(orders: Sequence[int], sizes: Sequence[int]) -> Iterator[slice]:
     Graph i has `orders[i]` vertices and `sizes[i]` edges; each run is
     yielded as the slice of its graphs.  A level gathers the batch's words
     times its half-edge reads, 4m per graph, counted as 4m + 2 to cover the
-    two reads of a K1's zero column.  When `_pads` takes the padded table,
+    two reads of a K1's zero row.  When `_pads` takes the padded table,
     a level reads at most `_PAD_READS` times as many.
     """
     start = words = reads = 0
@@ -291,8 +319,9 @@ class _Run:
 
     Built as `_Run(orders, edges, sizes)`, with the batch laid out as
     `_edge_bitsets` takes it, or as `_Run.of(graphs)`.  `pos`, `neg` and
-    `planes` are the run's `(W, N)` words and `starts` the column of each
-    graph's vertex 0; the readings below are the only code that slices them.
+    `planes` are the run's `(W, N)` words, views of its vertex-major rows,
+    and `starts` the column of each graph's vertex 0; the readings below are
+    the only code that slices them.
     """
 
     def __init__(self, orders: Sequence[int], edges: np.ndarray, sizes: Sequence[int]):
@@ -356,8 +385,8 @@ class _Run:
         words = -(-width // _WORD)
 
         def unpack(a: np.ndarray) -> np.ndarray:
-            # Row v holds column v's words; they are little-endian, so its
-            # bytes unpack in source order.
+            # Row v holds column v's words, contiguous in the run's rows;
+            # they are little-endian, so its bytes unpack in source order.
             rows = np.ascontiguousarray(a[:words].T[cols])
             return np.unpackbits(rows.view(np.uint8), axis=1, count=width, bitorder="little")
 

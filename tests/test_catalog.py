@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sgdist as sg
-from sgdist import distance
+from sgdist import catalog, distance
 from sgdist.cli import run
 from conftest import to_networkx
 
@@ -87,6 +87,16 @@ def test_census_class_sizes_and_labels(petersen_table):
     assert table.total == 32768
     assert [c.label for c in table.classes] == ["+P", "P1", "P2,2", "P2,3", "P3,2", "P3,3"]
     assert [c.size for c in table.classes] == [512, 7680, 15360, 7680, 1024, 512]
+
+
+def test_representative_keys_match_the_bit_matrix_form():
+    # The keys on all 2^15 codes against popcount and bit reversal computed
+    # from the (codes, 15) bit matrix.
+    codes = np.arange(1 << 15, dtype=np.int64)
+    bits = (codes[:, None] >> np.arange(15)) & 1
+    reversed_code = bits @ (1 << np.arange(14, -1, -1))
+    want = (bits.sum(axis=1) << 15) | ((1 << 15) - 1 - reversed_code)
+    assert np.array_equal(catalog._representative_keys(codes), want)
 
 
 def test_census_representatives_minimal(petersen_table):

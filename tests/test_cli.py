@@ -317,6 +317,33 @@ def test_witness_golden(capsys, tmp_path, fmt, digest):
 
 
 @pytest.mark.parametrize(
+    "fmt, which, digest",
+    [
+        ("json", "max", "0b38d86fe16cfe5fb4ce9014f61a238cbf22135aa51fe2aed5b75dab9b891667"),
+        ("csv", "min", "20b7224ff49835dcf67e4ac451fef0e8ec2268bc21eafa705cc5ebd7608e25fa"),
+    ],
+    ids=["json-max", "csv-min"],
+)
+def test_dist_golden(capsys, tmp_path, fmt, which, digest):
+    # Pins the bytes of `dist` on the witness graphs, whose cycles run 75
+    # and 150 levels, on P_300, which needs nine distance planes, and on
+    # C_1000, whose sources span sixteen words.
+    rng = random.Random(26)
+    graphs = witness_graphs() + [
+        sg.path_graph(300, [rng.choice((1, -1)) for _ in range(299)]),
+        sg.cycle_graph(1000, [rng.choice((1, -1)) for _ in range(1000)]),
+    ]
+    out = []
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"g{i}.sg"
+        path.write_text(sg.serialize_edge_list(g), encoding="utf-8")
+        code, printed, err = invoke(capsys, "dist", str(path), "--which", which, "--format", fmt)
+        assert (code, err) == (0, "")
+        out.append(printed)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "kind, digest",
     [
         ("cartesian", "d9e1caa833ad8cc5ef93900badfe73ae91ccd021cd2cd0d47b3cdd221e3de102"),

@@ -65,6 +65,46 @@ def test_parse_errors(text, needle):
         sg.parse_edge_list(text)
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("", 1, "empty input, expected header 'n m'"),
+        ("# only a comment\n\n  \t\n", 1, "empty input, expected header 'n m'"),
+        ("# c\n3\n", 2, "expected header 'n m', got '3'"),
+        ("  3 2 1 \t\n", 1, "expected header 'n m', got '3 2 1'"),
+        ("3 2 # c\n", 1, "expected header 'n m', got '3 2 # c'"),
+        ("a 2\n", 1, "non-integer header 'a 2'"),
+        ("0 0\n", 1, "vertex count must be >= 1, got 0"),
+        ("2 -1\n", 1, "edge count must be >= 0, got -1"),
+        ("0 -1\n", 1, "vertex count must be >= 1, got 0"),
+        ("2 1\n 0 1 \n", 2, "expected 'u v s', got '0 1'"),
+        ("2 1\n0 1 + +\n", 2, "expected 'u v s', got '0 1 + +'"),
+        ("2 1\n0 x +\n", 2, "non-integer vertex in '0 x +'"),
+        ("2 1\n0 # +\n", 2, "non-integer vertex in '0 # +'"),
+        ("2 1\n0 1 *\n", 2, "bad sign '*' (use +, -, +1 or -1)"),
+        ("2 1\n1 1 +\n", 2, "self-loop at vertex 1"),
+        ("2 1\n0 2 +\n", 2, "vertex index out of range in '0 2 +' (n=2)"),
+        ("2 1\n-1 0 +\n", 2, "vertex index out of range in '-1 0 +' (n=2)"),
+        ("3 3\n\n1 0 +\n# c\n0 1 -\n", 5, "duplicate edge (0,1)"),
+        ("3 1\n0 1 +\n1 2 +\n", 3, "more than the declared 1 edges"),
+        ("3 2\n0 1 +\n", 1, "header declares 2 edges, found 1"),
+        ("2 1\n#0 1 +\n", 1, "header declares 1 edges, found 0"),
+        # Two failing checks on one line: the first in the order above wins.
+        ("2 1\nx 1 ?\n", 2, "non-integer vertex in 'x 1 ?'"),
+        ("2 1\n0 0 ?\n", 2, "bad sign '?' (use +, -, +1 or -1)"),
+        ("2 1\n5 5 +\n", 2, "self-loop at vertex 5"),
+        ("2 1\n1 9 x\n", 2, "bad sign 'x' (use +, -, +1 or -1)"),
+        # A duplicate beyond the declared count is reported as a duplicate.
+        ("3 1\n0 2 +\n2 0 +\n", 3, "duplicate edge (0,2)"),
+    ],
+)
+def test_parse_error_messages(text, line_no, message):
+    # Each malformed input's full message and line number.
+    with pytest.raises(sg.EdgeListError, match=f"^{re.escape(f'line {line_no}: {message}')}$") as info:
+        sg.parse_edge_list(text)
+    assert info.value.line_no == line_no
+
+
 @given(signed_graphs())
 def test_parse_serialize_roundtrip(g):
     assert sg.parse_edge_list(sg.serialize_edge_list(g)) == g

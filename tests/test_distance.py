@@ -2,7 +2,6 @@ import contextlib
 import itertools
 import random
 import re
-import types
 
 import numpy as np
 import pytest
@@ -405,10 +404,20 @@ def gathers_used(graphs):
             return method(*args, **kwargs)
         return call
 
+    class BitwiseOr:
+        # Calls and every other attribute go to the real ufunc; only its two
+        # reductions are recorded.
+        reduce = staticmethod(spy("padded", np.bitwise_or.reduce))
+        reduceat = staticmethod(spy("reduceat", np.bitwise_or.reduceat))
+
+        def __call__(self, *args, **kwargs):
+            return np.bitwise_or(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(np.bitwise_or, name)
+
     class Numpy:
-        bitwise_or = types.SimpleNamespace(
-            reduce=spy("padded", np.bitwise_or.reduce), reduceat=spy("reduceat", np.bitwise_or.reduceat)
-        )
+        bitwise_or = BitwiseOr()
 
         def __getattr__(self, name):
             return getattr(np, name)
@@ -440,7 +449,7 @@ def test_pads_rule_chooses_by_degrees():
         for graphs in batches:
             assert pads([len(g.adjacency[v]) for g in graphs for v in range(g.n)]) == (gather == "padded")
             assert gathers_used(graphs) == {gather}
-    # Under the rule a K1 reads one padded zero column, and a star with its
+    # Under the rule a K1 reads one padded zero row, and a star with its
     # leaves' single reads padded out to its degree does not fit.
     assert pads([0]) and not pads([4, 1, 1, 1, 1])
 
@@ -562,7 +571,7 @@ def test_batch_with_k1_anywhere_matches_each_graph_alone(batch):
 )
 def test_gathers_give_the_same_words_on_a_batch(batch):
     # The batches hold K1s and disconnected graphs: both gathers must read
-    # the zero column for a vertex of degree 0.
+    # the zero row for a vertex of degree 0.
     words = {}
     for gather in GATHERS:
         with forced_gather(gather):
