@@ -95,6 +95,7 @@ def _matrix_payload(mat: np.ndarray, fmt: str) -> str:
 def _cmd_info(args) -> int:
     g = _read_graph(args.file)
     preds = core.structural_predicates(g)
+    degrees = core.net_degrees(g)
     payload = {
         "order": g.n,
         "size": g.m,
@@ -103,8 +104,8 @@ def _cmd_info(args) -> int:
         "is_geodetic": preds.is_geodetic,
         "has_odd_cycle": preds.has_odd_cycle,
         "is_balanced": core.is_balanced(g),
-        "net_degrees": core.net_degrees(g),
-        "is_net_regular": core.is_net_regular(g),
+        "net_degrees": degrees,
+        "is_net_regular": len(set(degrees)) <= 1,
     }
     _emit(args, json.dumps(payload))
     return EXIT_OK
@@ -182,26 +183,16 @@ def _cmd_dist_formula(args) -> int:
     g1 = _read_graph(args.file1)
     g2 = _read_graph(args.file2)
     if args.kind == "cartesian":
-        formula = spectra.cartesian_distance_formula(g1, g2)
-        prod = products.cartesian(g1, g2)
+        sd1, sd2, direct = distance._Run.of([g1, g2, products.cartesian(g1, g2)]).tables()
+        formula = spectra._cartesian_formula(sd1, sd2)
     else:
-        formula = spectra.lexicographic_distance_formula(g1, g2)
-        prod = products.lexicographic(g1, g2)
-    direct = distance.signed_distances(prod)
-    ok = np.array_equal(formula, direct.d_max) and np.array_equal(formula, direct.d_min)
-    if not ok:
+        spectra._check_lexicographic(g1, g2)
+        sd1, direct = distance._Run.of([g1, products.lexicographic(g1, g2)]).tables()
+        formula = spectra._lexicographic_formula(sd1, g2)
+    if not (np.array_equal(formula, direct.d_max) and np.array_equal(formula, direct.d_min)):
         print("formula route disagrees with direct distance computation", file=sys.stderr)
         return EXIT_MISMATCH
-    _emit(
-        args,
-        json.dumps(
-            {
-                "order": int(formula.shape[0]),
-                "entries": formula.tolist(),
-                "matches_direct": True,
-            }
-        ),
-    )
+    _emit(args, _matrix_payload(formula, "json")[:-1] + ', "matches_direct": true}')
     return EXIT_OK
 
 

@@ -430,7 +430,8 @@ def net_degree(g: SignedGraph, v: int) -> int:
 
 
 def net_degrees(g: SignedGraph) -> list[int]:
-    return [net_degree(g, v) for v in range(g.n)]
+    """The net-degree of every vertex, in vertex order."""
+    return [sum(s for _, s in nbrs) for nbrs in g.adjacency]
 
 
 def is_net_regular(g: SignedGraph) -> bool:

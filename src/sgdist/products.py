@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SignedGraph, _bfs_dist, _check_order, _check_vertex, has_odd_cycle, is_connected
-from .distance import _Run, _batches, _edge_rows, _matrix_edges, _signed_adjacency, _sorted_pairs, is_compatible
+from .distance import _Run, _batches, _edge_rows, _matrix_edges, _signed_adjacency, _sorted_pairs
 
 __all__ = [
     "pair_index",
@@ -176,7 +176,8 @@ def uniform_sign(g: SignedGraph) -> bool:
 
 
 def check_product_compatibility_theorems(g1: SignedGraph, g2: SignedGraph) -> dict:
-    """Evaluate the product compatibility laws by direct computation.
+    """Evaluate the product compatibility laws by direct computation, every
+    verdict read from one `_verdicts` batch of the factors and products.
 
     Cartesian: product compatible iff both factors are (an equivalence;
     `agrees=False` indicates an implementation bug).  Lexicographic: a
@@ -188,20 +189,18 @@ def check_product_compatibility_theorems(g1: SignedGraph, g2: SignedGraph) -> di
     (`only_if_holds=False` indicates a bug); the converse fails in general,
     see conjecture_search.
     """
-    if not is_connected(g1) or not is_connected(g2):
+    verdicts = _verdicts([g1, g2, cartesian(g1, g2), lexicographic(g1, g2), tensor(g1, g2)])
+    if not (verdicts[0][0] and verdicts[1][0]):
         raise ValueError("theorem checks need connected factors")
-    c1 = is_compatible(g1)
-    c2 = is_compatible(g2)
+    c1, c2, cart, lex, tens = (not bad for _, bad, _ in verdicts)
     report: dict = {"factor_compatible": (c1, c2)}
 
-    cart = is_compatible(cartesian(g1, g2))
     report["cartesian"] = {
         "product_compatible": cart,
         "expected": c1 and c2,
         "agrees": cart == (c1 and c2),
     }
 
-    lex = is_compatible(lexicographic(g1, g2))
     hypothesis = c1 and uniform_sign(g2)
     report["lexicographic"] = {
         "product_compatible": lex,
@@ -210,8 +209,7 @@ def check_product_compatibility_theorems(g1: SignedGraph, g2: SignedGraph) -> di
         "iff_agrees": lex == hypothesis,
     }
 
-    if tensor_is_connected(g1, g2):
-        tens = is_compatible(tensor(g1, g2))
+    if verdicts[4][0]:
         report["tensor"] = {
             "product_compatible": tens,
             "only_if_holds": (not tens) or (c1 and c2),

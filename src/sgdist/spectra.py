@@ -2,10 +2,12 @@
 polynomials, and numeric distance spectra.
 
 Exact work (characteristic polynomials, the product formulas) happens in
-integer arithmetic.  Characteristic polynomials run the Faddeev-LeVerrier
-recurrence modulo word-size primes as float64 BLAS products, with enough
-primes to cover a Hadamard bound on the coefficients, and rebuild them by
-CRT: exact at any order and entry size, with no overflow fallback.
+integer arithmetic; the product formulas are readings of the factors'
+`SignedDistances`, taken from one all-sources run.  Characteristic
+polynomials run the Faddeev-LeVerrier recurrence modulo word-size primes as
+float64 BLAS products, with enough primes to cover a Hadamard bound on the
+coefficients, and rebuild them by CRT: exact at any order and entry size,
+with no overflow fallback.
 Numeric spectra come from LAPACK (numpy eigvalsh) with a gap-based
 multiplicity clustering.
 """
@@ -19,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import SignedGraph
-from .distance import SignedDistances, _signed_adjacency, signed_distances
+from .distance import _DISCONNECTED, SignedDistances, _Run, _signed_adjacency, signed_distances
 from .products import uniform_sign
 
 __all__ = [
@@ -292,17 +294,13 @@ def compatible_distance_matrix(g: SignedGraph) -> np.ndarray:
 
 
 def _compatible_matrix(sd: SignedDistances) -> np.ndarray:
-    """D of the distances sd of a compatible graph; ValueError if incompatible."""
+    """D of the tables sd; ValueError if a pair has no shortest path (the
+    graph is disconnected), then if one has shortest paths of both signs."""
+    if not (sd.pos | sd.neg).all():
+        raise ValueError(_DISCONNECTED)
     if sd.incompatible.any():
         raise ValueError("graph is incompatible: max and min distance matrices differ")
     return sd.d_max
-
-
-def _assoc_sign_matrix(d: np.ndarray) -> np.ndarray:
-    """Shortest-path sign matrix with unit diagonal, read off a compatible D."""
-    s = np.sign(d).astype(np.int64)
-    np.fill_diagonal(s, 1)
-    return s
 
 
 def cartesian_distance_formula(g1: SignedGraph, g2: SignedGraph) -> np.ndarray:
@@ -312,23 +310,22 @@ def cartesian_distance_formula(g1: SignedGraph, g2: SignedGraph) -> np.ndarray:
     Both factors must be connected and compatible; rows and columns follow
     the row-major product vertex order.
     """
-    d1 = compatible_distance_matrix(g1)
-    d2 = compatible_distance_matrix(g2)
-    return kron(d1, _assoc_sign_matrix(d2)) + kron(_assoc_sign_matrix(d1), d2)
+    return _cartesian_formula(*_Run.of([g1, g2]).tables())
 
 
-def _lex_diagonal_block(g2: SignedGraph) -> np.ndarray:
-    """Within-copy distance block of a lexicographic product.
+def _cartesian_formula(sd1: SignedDistances, sd2: SignedDistances) -> np.ndarray:
+    """The cartesian formula read off the factors' tables; ValueError when
+    g1's, then g2's, are those of a disconnected or incompatible graph."""
+    d1, d2 = _compatible_matrix(sd1), _compatible_matrix(sd2)
+    return kron(d1, np.where(sd2.pos, 1, -1)) + kron(np.where(sd1.pos, 1, -1), d2)
 
-    Adjacent second coordinates sit at distance 1 with the edge sign.
-    Non-adjacent ones sit at distance 2 through any neighboring copy, and
-    with a uniformly signed second factor every such two-step path is
-    positive, so they contribute +2.
-    """
-    block = adjacency_matrix(g2)
-    block[block == 0] = 2
-    np.fill_diagonal(block, 0)
-    return block
+
+def _check_lexicographic(g1: SignedGraph, g2: SignedGraph) -> None:
+    """ValueError unless g1 has at least 2 vertices and g2 is uniformly signed."""
+    if g1.n < 2:
+        raise ValueError("lexicographic formula requires the first factor to have >= 2 vertices")
+    if not uniform_sign(g2):
+        raise ValueError("lexicographic formula requires the second factor to be all-positive or all-negative")
 
 
 def lexicographic_distance_formula(g1: SignedGraph, g2: SignedGraph) -> np.ndarray:
@@ -338,14 +335,20 @@ def lexicographic_distance_formula(g1: SignedGraph, g2: SignedGraph) -> np.ndarr
     Requires g1 connected and compatible with at least 2 vertices (so every
     copy has a neighboring copy) and g2 all-positive or all-negative.
     """
-    if g1.n < 2:
-        raise ValueError("lexicographic formula requires the first factor to have >= 2 vertices")
-    if not uniform_sign(g2):
-        raise ValueError("lexicographic formula requires the second factor to be all-positive or all-negative")
-    d1 = compatible_distance_matrix(g1)
-    return kron(d1, np.ones((g2.n, g2.n), dtype=np.int64)) + kron(
-        np.eye(g1.n, dtype=np.int64), _lex_diagonal_block(g2)
-    )
+    _check_lexicographic(g1, g2)
+    return _lexicographic_formula(_Run.of([g1]).tables()[0], g2)
+
+
+def _lexicographic_formula(sd1: SignedDistances, g2: SignedGraph) -> np.ndarray:
+    """The lexicographic formula read off g1's tables, for factors that pass
+    `_check_lexicographic`: within a copy, adjacent second coordinates sit at
+    distance 1 with the edge sign, and non-adjacent ones at +2 through a
+    neighboring copy, every such path being positive as g2 is uniform."""
+    d1 = _compatible_matrix(sd1)
+    block = adjacency_matrix(g2)
+    block[block == 0] = 2
+    np.fill_diagonal(block, 0)
+    return kron(d1, np.ones((g2.n, g2.n), dtype=np.int64)) + kron(np.eye(len(d1), dtype=np.int64), block)
 
 
 # --------------------------------------------------------------------------

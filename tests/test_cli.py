@@ -361,6 +361,111 @@ def test_product_golden(fixtures, capsys, kind, digest):
     assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
 
 
+def test_info_golden(capsys, tmp_path):
+    # Pins the bytes of `info` on the witness graphs, a disconnected graph
+    # and K1.
+    graphs = witness_graphs() + [sg.SignedGraph(5, ((0, 1, 1), (1, 2, -1), (3, 4, -1))), sg.SignedGraph(1, ())]
+    out = []
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"g{i}.sg"
+        path.write_text(sg.serialize_edge_list(g), encoding="utf-8")
+        code, printed, err = invoke(capsys, "info", str(path))
+        assert (code, err) == (0, "")
+        out.append(printed)
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "86e85735a00ca37480af7b8a68f4863ea933ae043ba1785d6df94bb661c1eec0"
+
+
+def write_graphs(tmp_path, graphs):
+    paths = []
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"f{i}.sg"
+        path.write_text(sg.serialize_edge_list(g), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def dist_formula_pairs(kind):
+    """Seeded factor pairs: a signed Petersen graph times signed C5 and C7
+    (cartesian) or a signed C11 over K5 of each sign (lex), then every
+    ordered pair of K2+ and K2-, K1 with K2+, and C3 over two isolated
+    vertices."""
+    rng = random.Random(27)
+    k1, k2p, k2n = sg.SignedGraph(1, ()), sg.complete_graph(2, 1), sg.complete_graph(2, -1)
+    if kind == "cartesian":
+        pet = sg.petersen_signing([rng.choice((1, -1)) for _ in range(15)])
+        pairs = [(pet, sg.cycle_graph(n, [rng.choice((1, -1)) for _ in range(n)])) for n in (5, 7)]
+        ends = [(k1, k2p), (k2p, k1)]
+    else:
+        c11 = sg.cycle_graph(11, [rng.choice((1, -1)) for _ in range(11)])
+        pairs = [(c11, sg.complete_graph(5, 1)), (c11, sg.complete_graph(5, -1))]
+        ends = [(k2p, k1), (sg.cycle_graph(3, [1, -1, -1]), sg.SignedGraph(2, ()))]
+    return pairs + [(a, b) for a in (k2p, k2n) for b in (k2p, k2n)] + ends
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("cartesian", "f5ec827ecf8d504beddbf6f75e762ce2b23f1784d7d6a4d4e928e3c2743216f4"),
+        ("lex", "ad7ff64bfb0fa09d4024d45116fc0ce73e087bd68125c96ae320255eadd58f9d"),
+    ],
+)
+def test_dist_formula_golden(capsys, tmp_path, kind, digest):
+    # Pins the bytes of `dist-formula`, whose matrix is checked against the
+    # product's own distances.
+    out = []
+    for g1, g2 in dist_formula_pairs(kind):
+        code, printed, err = invoke(capsys, "dist-formula", "--kind", kind, *write_graphs(tmp_path, [g1, g2]))
+        assert (code, err) == (0, "")
+        out.append(printed)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+
+K2 = sg.complete_graph(2, 1)
+DISCONNECTED = sg.SignedGraph(3, ((0, 1, 1),))
+INCOMPATIBLE = sg.cycle_graph(4, [-1, 1, 1, 1])
+MIXED = sg.path_graph(3, [1, -1])
+NOT_CONNECTED = "error: graph is disconnected; signed distances are undefined\n"
+NOT_COMPATIBLE = "error: graph is incompatible: max and min distance matrices differ\n"
+ONE_VERTEX = "error: lexicographic formula requires the first factor to have >= 2 vertices\n"
+NOT_UNIFORM = "error: lexicographic formula requires the second factor to be all-positive or all-negative\n"
+
+
+@pytest.mark.parametrize(
+    "kind, g1, g2, err",
+    [
+        ("cartesian", DISCONNECTED, K2, NOT_CONNECTED),
+        ("cartesian", DISCONNECTED, INCOMPATIBLE, NOT_CONNECTED),
+        ("cartesian", INCOMPATIBLE, DISCONNECTED, NOT_COMPATIBLE),
+        ("cartesian", INCOMPATIBLE, INCOMPATIBLE, NOT_COMPATIBLE),
+        ("cartesian", K2, DISCONNECTED, NOT_CONNECTED),
+        ("cartesian", K2, INCOMPATIBLE, NOT_COMPATIBLE),
+        ("lex", DISCONNECTED, K2, NOT_CONNECTED),
+        ("lex", INCOMPATIBLE, DISCONNECTED, NOT_COMPATIBLE),
+        ("lex", sg.SignedGraph(1, ()), K2, ONE_VERTEX),
+        ("lex", sg.SignedGraph(1, ()), MIXED, ONE_VERTEX),
+        ("lex", K2, MIXED, NOT_UNIFORM),
+        ("lex", DISCONNECTED, MIXED, NOT_UNIFORM),
+        ("lex", INCOMPATIBLE, MIXED, NOT_UNIFORM),
+    ],
+)
+def test_dist_formula_refusals(capsys, tmp_path, kind, g1, g2, err):
+    # The first refusal in the order: lex hypotheses, then g1 disconnected,
+    # g1 incompatible, g2 disconnected, g2 incompatible.
+    assert invoke(capsys, "dist-formula", "--kind", kind, *write_graphs(tmp_path, [g1, g2])) == (1, "", err)
+
+
+@pytest.mark.parametrize("kind", ["cartesian", "lex"])
+def test_dist_formula_runs_one_pass(capsys, tmp_path, monkeypatch, kind):
+    # The formula and the direct check read the tables of one run.
+    real, calls = sg.distance._edge_bitsets, []
+    monkeypatch.setattr(sg.distance, "_edge_bitsets", lambda *args: calls.append(1) or real(*args))
+    for g1, g2 in dist_formula_pairs(kind):
+        calls.clear()
+        assert invoke(capsys, "dist-formula", "--kind", kind, *write_graphs(tmp_path, [g1, g2]))[0] == 0
+        assert len(calls) == 1
+
+
 def test_outputs_deterministic(fixtures, capsys, tmp_path):
     commands = [
         ("info", fixtures["pplus"]),

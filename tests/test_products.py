@@ -925,3 +925,61 @@ def test_search_and_witness_run_no_python_bfs(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     assert sg.conjecture_search(300, max_n=7, seed=1) == want
     assert sg.least_incompatible_witness(prod) == witness
+
+
+# -- the law check against the per-graph route ----------------------------------
+
+def per_graph_report(g1, g2):
+    """The law check's report built from `is_compatible` on each factor and
+    each product, with the tensor product's connectivity from
+    `tensor_is_connected`."""
+    c1, c2 = sg.is_compatible(g1), sg.is_compatible(g2)
+    cart = sg.is_compatible(sg.cartesian(g1, g2))
+    lex = sg.is_compatible(sg.lexicographic(g1, g2))
+    hypothesis = c1 and sg.uniform_sign(g2)
+    report = {
+        "factor_compatible": (c1, c2),
+        "cartesian": {"product_compatible": cart, "expected": c1 and c2, "agrees": cart == (c1 and c2)},
+        "lexicographic": {
+            "product_compatible": lex,
+            "sufficient_hypothesis": hypothesis,
+            "sufficiency_holds": (not hypothesis) or lex,
+            "iff_agrees": lex == hypothesis,
+        },
+        "tensor": {"skipped": "product disconnected"},
+    }
+    if sg.tensor_is_connected(g1, g2):
+        tens = sg.is_compatible(sg.tensor(g1, g2))
+        report["tensor"] = {"product_compatible": tens, "only_if_holds": (not tens) or (c1 and c2)}
+    return report
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_factors(min_n=1, max_n=6), connected_factors(min_n=1, max_n=6))
+@example(K1, K1)
+@example(K1, C3P)
+@example(K2P, K2N)
+@example(C4_MIXED, K2P)
+@example(sg.cycle_graph(6, [1, -1, 1, 1, 1, 1]), sg.path_graph(3, [1, -1]))
+@example(K2P, K4_ONE_NEG)
+def test_law_check_matches_the_per_graph_route(g1, g2):
+    # K1, K2 and bipartite pairs have a disconnected tensor product.
+    assert sg.check_product_compatibility_theorems(g1, g2) == per_graph_report(g1, g2)
+
+
+@pytest.mark.parametrize("g1, g2", [(sg.SignedGraph(2, ()), K2P), (C3P, sg.SignedGraph(3, ((0, 1, -1),)))])
+def test_law_check_refuses_disconnected_factors(g1, g2):
+    with pytest.raises(ValueError, match="^theorem checks need connected factors$"):
+        sg.check_product_compatibility_theorems(g1, g2)
+
+
+def test_law_check_runs_one_pass(monkeypatch):
+    # Factors of order at most 7 and their three products fit one run.
+    real, calls = distance._edge_bitsets, []
+    monkeypatch.setattr(distance, "_edge_bitsets", lambda *args: calls.append(1) or real(*args))
+    rng = random.Random(27)
+    pairs = [(random_connected_signed(rng, 1, 7), random_connected_signed(rng, 1, 7)) for _ in range(20)]
+    for g1, g2 in pairs + [(sg.complete_graph(7, -1), sg.complete_graph(7, 1))]:
+        calls.clear()
+        sg.check_product_compatibility_theorems(g1, g2)
+        assert len(calls) == 1
