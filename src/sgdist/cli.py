@@ -9,6 +9,13 @@ is overwritten in place: the new text is written over the old bytes and the
 file is then cut at its end.  Neither this nor a truncate-first write is
 atomic: a crash mid-write can leave old bytes after the new ones, where a
 truncate-first write could leave a short file.
+
+`dist` and `compat` write their text in pieces as they make it, `dist` one
+block of 64 rows at a time, so the whole text is never held.  Every refusal
+comes first: the graph is read and the all-sources pass has run before the
+output is opened.  A write error mid-stream (a full disk, say) still exits
+1 with `cannot write`, but can leave a partial file, as the in-place rewrite
+already can.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ import json
 import os
 import stat
 import sys
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,6 +38,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
+
+# Pairs per piece of `compat`'s text.
+_PAIR_PIECE = 1 << 16
 
 
 def _read_graph(path: str) -> core.SignedGraph:
@@ -42,9 +54,16 @@ def _read_graph(path: str) -> core.SignedGraph:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _write(path: Path, text: str, parents: bool = False) -> None:
-    """Write `text` to `path`, after making its missing directories when
-    `parents`; ValueError naming the path when either fails.
+def _pieces(text: str | Iterable[str]) -> Iterable[str]:
+    """`text` as the pieces to write in turn: a str is one piece, not one
+    piece per character."""
+    return (text,) if isinstance(text, str) else text
+
+
+def _write(path: Path, text: str | Iterable[str], parents: bool = False) -> None:
+    """Write `text`, a str or its pieces in turn, to `path`, after making its
+    missing directories when `parents`; ValueError naming the path when
+    either fails.
 
     The file is not truncated first, but cut after the write, and only when
     it is a regular file (a FIFO or /dev/null cannot be cut): on ext4,
@@ -55,41 +74,57 @@ def _write(path: Path, text: str, parents: bool = False) -> None:
         if parents:
             path.parent.mkdir(parents=True, exist_ok=True)
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
-            f.write(text)
+            for piece in _pieces(text):
+                f.write(piece)
             if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
                 f.truncate()
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(args, payload: str) -> None:
+def _emit(args, payload: str | Iterable[str]) -> None:
+    """Write `payload`, a str or its pieces in turn, to -o FILE or to
+    stdout, where a newline follows a payload that does not end with one."""
     if args.output:
         _write(Path(args.output), payload)
-    else:
-        end = "" if payload.endswith("\n") else "\n"
-        print(payload, end=end)
+        return
+    last = ""
+    for piece in _pieces(payload):
+        sys.stdout.write(piece)
+        last = piece or last
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
 
 
-def _matrix_payload(mat: np.ndarray, fmt: str) -> str:
-    """The json or csv text of a distance matrix, built by one join.
+def _matrix_payload(blocks: Iterable[np.ndarray], order: int, fmt: str) -> Iterator[str]:
+    """The json or csv text of a matrix of `order` rows, given as blocks of
+    rows top to bottom: one piece per block, so the whole text is never
+    held at once.
 
     Each entry is written through a table holding, for every value in
-    [min, max], its text followed by its separator, and a row-end variant
-    for the last column; the matrix offset by min indexes it, so no Python
-    int is made per entry.  A distance matrix of order n has its entries in
-    [-(n-1), n-1], so the table is shorter than four rows.
+    [lo, hi], its text followed by its separator, and a row-end variant for
+    the last column; the block offset by lo indexes it, so no Python int is
+    made per entry.  The table is built over the first block's values, and
+    again over a wider range only when a later block leaves it.  A distance
+    matrix of order n has its entries in [-(n-1), n-1], so the table is
+    shorter than four rows.
     """
     sep, end = (",", "\n") if fmt == "csv" else (", ", "], [")
-    lo, hi = int(mat.min()), int(mat.max())
-    texts = [str(x) for x in range(lo, hi + 1)]
-    table = np.array([t + sep for t in texts] + [t + end for t in texts], dtype=object)
-    codes = mat - lo
-    codes[:, -1] += len(texts)
-    text = "".join(table[codes].ravel().tolist())
-    if fmt == "csv":
-        return text
-    # The last row ends "], [": keep its "]" and close the list.
-    return f'{{"order": {mat.shape[0]}, "entries": [[{text[:-3]}]}}'
+    piece = "" if fmt == "csv" else f'{{"order": {order}, "entries": [['
+    lo, hi, table = 0, -1, None
+    for block in blocks:
+        b_lo, b_hi = int(block.min()), int(block.max())
+        if table is None or b_lo < lo or b_hi > hi:
+            lo, hi = (b_lo, b_hi) if table is None else (min(lo, b_lo), max(hi, b_hi))
+            texts = [str(x) for x in range(lo, hi + 1)]
+            table = np.array([t + sep for t in texts] + [t + end for t in texts], dtype=object)
+        codes = block - lo
+        codes[:, -1] += hi - lo + 1
+        # Each piece goes out a block late, so that the last can be closed.
+        yield piece
+        piece = "".join(table[codes].ravel().tolist())
+    # The last json row ends "], [": keep its "]" and close the list.
+    yield piece if fmt == "csv" else piece[:-3] + "]}"
 
 
 def _cmd_info(args) -> int:
@@ -113,28 +148,39 @@ def _cmd_info(args) -> int:
 
 def _cmd_dist(args) -> int:
     g = _read_graph(args.file)
-    mat = distance.distance_matrix(g, args.which)
-    _emit(args, _matrix_payload(mat, args.format))
+    # The pass runs here, before the output opens; the text is encoded and
+    # written one block of rows at a time.
+    _emit(args, _matrix_payload(distance._distance_blocks(g, args.which), g.n, args.format))
     return EXIT_OK
 
 
 def _cmd_compat(args) -> int:
     g = _read_graph(args.file)
-    u, v = distance._sorted_pair_arrays(distance.signed_distances(g))
+    u, v = distance._sorted_pair_arrays(distance._connected_run([g]).blocks())
+    if args.format == "text" and not len(u):
+        _emit(args, "compatible")
+        return EXIT_OK
     # The pairs' text, joined from "[u, " and "v], " pieces for json or
     # "(u," and "v) " pieces for text, written through tables over the
-    # vertices; the separator after the last pair is cut.
+    # vertices `_PAIR_PIECE` pairs at a time; the separator after the last
+    # pair is cut.
     lead, mid, end = ("[", ", ", "], ") if args.format == "json" else ("(", ",", ") ")
-    pieces = np.empty(2 * len(u), dtype=object)
-    pieces[0::2] = np.array([f"{lead}{x}{mid}" for x in range(g.n)], dtype=object)[u]
-    pieces[1::2] = np.array([f"{x}{end}" for x in range(g.n)], dtype=object)[v]
-    body = "".join(pieces.tolist()).rstrip(", ")
+    firsts = np.array([f"{lead}{x}{mid}" for x in range(g.n)], dtype=object)
+    seconds = np.array([f"{x}{end}" for x in range(g.n)], dtype=object)
+
+    def body() -> Iterator[str]:
+        for i in range(0, len(u), _PAIR_PIECE):
+            pieces = np.empty(2 * len(u[i : i + _PAIR_PIECE]), dtype=object)
+            pieces[0::2] = firsts[u[i : i + _PAIR_PIECE]]
+            pieces[1::2] = seconds[v[i : i + _PAIR_PIECE]]
+            text = "".join(pieces.tolist())
+            yield text if i + _PAIR_PIECE < len(u) else text.rstrip(", ")
+
     if args.format == "json":
-        _emit(args, f'{{"compatible": {json.dumps(not len(u))}, "incompatible_pairs": [{body}]}}')
-    elif len(u):
-        _emit(args, "incompatible: " + body)
+        head = f'{{"compatible": {json.dumps(not len(u))}, "incompatible_pairs": ['
+        _emit(args, chain([head], body(), ["]}"]))
     else:
-        _emit(args, "compatible")
+        _emit(args, chain(["incompatible: "], body()))
     return EXIT_OK
 
 
@@ -192,7 +238,8 @@ def _cmd_dist_formula(args) -> int:
     if not (np.array_equal(formula, direct.d_max) and np.array_equal(formula, direct.d_min)):
         print("formula route disagrees with direct distance computation", file=sys.stderr)
         return EXIT_MISMATCH
-    _emit(args, _matrix_payload(formula, "json")[:-1] + ', "matches_direct": true}')
+    text = "".join(_matrix_payload([formula], len(formula), "json"))
+    _emit(args, text[:-1] + ', "matches_direct": true}')
     return EXIT_OK
 
 

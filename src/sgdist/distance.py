@@ -26,13 +26,20 @@ and array products alike by the same bound on the gathered words.
 `_Run` holds one run, built from that array or from a list of graphs, and
 is the only reader of its words, so no other module knows where a graph's
 columns start.  Per graph it reads connectivity (`reached`), compatibility
-(`flags`) and odd cycles (`odd_cycles`) off the bitsets alone, and
-`tables` unpacks the words of the graphs asked for into `SignedDistances`,
-only for callers that read matrices or pairs (both matrices, the
-incompatible pairs, the associated complete graph, witnesses, the Petersen
-census and the conjecture search's reported products).  The pass does not
-raise on a disconnected graph; `_connected_run` does, for the callers that
-need a connected one.
+(`flags`) and odd cycles (`odd_cycles`) off the bitsets alone.  Two
+readers unpack its words, through one helper (`_unpack`), only for callers
+that read matrices or pairs:
+- `tables` unpacks the graphs asked for into whole `SignedDistances`, for
+  the callers that hold a matrix (`signed_distances`, `distance_matrix`,
+  the associated complete graph, the product formulas, the Petersen census
+  and the conjecture search's certified products and factors);
+- `blocks` yields one graph's matrices 64 rows at a time, the rows of one
+  source word, so that nothing of size n^2 is held but the bitsets (n^2/8
+  bytes per array).  The CLI's `dist` encodes and writes each block as it
+  comes (`_distance_blocks`), and the incompatible pairs and the witness
+  read their pairs block by block (`_block_pairs`).
+The pass does not raise on a disconnected graph; `_connected_run` does, for
+the callers that need a connected one.
 
 The table certificate (`_table_faults`) checks distance and sign tables
 against a graph's `(u, v, sign)` edge rows by local rules, vectorised over
@@ -44,18 +51,20 @@ check against (the conjecture search's products and factors), or the one
 source u of a witness.
 
 A witness takes one pair, the first incompatible pair in (distance, u, v)
-order.  `_opposite_paths` walks its positive and its negative shortest path
-back through row u of the tables, and `_certify_path` checks each path
-against the graph's edge rows: its steps are edges, its sign is the one
-walked for and its length is the tables' distance.  Row u itself passes
-`_certify` against the same edges, so that distance is the hop distance.
+order, found block by block; a compatible graph, which `flags` tells, reads
+no block.  `_opposite_paths` walks its positive and its negative shortest
+path back through row u, kept from the pair's block, and `_certify_path`
+checks each path against the graph's edge rows: its steps are edges, its
+sign is the one walked for and its length is row u's distance.  Row u
+itself passes `_certify` against the same edges, so that distance is the
+hop distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,7 +92,8 @@ class SignedDistances:
     `dist[u, v]` is the hop distance (int32); `pos[u, v]` / `neg[u, v]`
     say whether a positive / negative shortest u-v path exists.  The
     diagonal has distance 0 and only the (empty, positive) path.  All
-    three arrays are symmetric and read-only.
+    three arrays are read-only, and symmetric except in a block of rows
+    from `_Run.blocks`, whose row k is row start + k of each matrix.
     """
 
     dist: np.ndarray
@@ -355,6 +365,25 @@ class _Run:
         count = len(self.orders)
         return (np.bincount(np.repeat(np.arange(count), self.sizes), weights=same, minlength=count) > 0).tolist()
 
+    def _unpack(self, words: slice, cols, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The `(V, count)` distance (int32), positive and negative (0/1
+        uint8) tables of the columns `cols` from the sources of `words`:
+        cell (v, k) reads bit k of column v's words `words`, so it holds the
+        readings from source k of those words to v.
+        """
+
+        def unpack(a: np.ndarray) -> np.ndarray:
+            # Row v holds column v's words, contiguous in the run's rows;
+            # they are little-endian, so its bytes unpack in source order.
+            rows = np.ascontiguousarray(a[words].T[cols])
+            return np.unpackbits(rows.view(np.uint8), axis=1, count=count, bitorder="little")
+
+        pos, neg = unpack(self.pos), unpack(self.neg)
+        dist = np.zeros(pos.shape, dtype=np.int32)
+        for k, plane in enumerate(self.planes):
+            dist |= np.left_shift(unpack(plane), k, dtype=np.int32)
+        return dist, pos, neg
+
     def tables(
         self, keep: Sequence[int] | None = None, check: Sequence[np.ndarray] | None = None
     ) -> list[SignedDistances]:
@@ -382,18 +411,7 @@ class _Run:
             starts = np.cumsum(orders) - orders
             cols = np.arange(sum(orders)) + np.repeat(self.starts[keep] - starts, orders)
         width = max(orders)
-        words = -(-width // _WORD)
-
-        def unpack(a: np.ndarray) -> np.ndarray:
-            # Row v holds column v's words, contiguous in the run's rows;
-            # they are little-endian, so its bytes unpack in source order.
-            rows = np.ascontiguousarray(a[:words].T[cols])
-            return np.unpackbits(rows.view(np.uint8), axis=1, count=width, bitorder="little")
-
-        dist = np.zeros((sum(orders), width), dtype=np.int32)
-        for k, plane in enumerate(self.planes):
-            dist |= np.left_shift(unpack(plane), k, dtype=np.int32)
-        pos, neg = unpack(self.pos), unpack(self.neg)
+        dist, pos, neg = self._unpack(np.s_[: -(-width // _WORD)], cols, width)
         if check is not None:
             _certify(np.concatenate(check), [len(e) for e in check], orders, np.arange(width), dist, pos, neg)
         for a in (dist, pos, neg):
@@ -403,6 +421,26 @@ class _Run:
             rows = np.s_[start : start + n, :n]
             out.append(SignedDistances(dist=dist[rows], pos=pos[rows].view(bool), neg=neg[rows].view(bool)))
         return out
+
+    def blocks(self, i: int = 0) -> Iterator[tuple[int, SignedDistances]]:
+        """Graph i's matrices 64 rows at a time, top to bottom: `(start,
+        rows)` pairs, `rows` the read-only `SignedDistances` of rows
+        start..start+63 (fewer in the last block) and every column.
+
+        Word j of each array holds sources 64j..64j+63, and distances and
+        signs are symmetric, so the block from row 64j is word j's
+        `(vertex, source)` tables, unpacked by `_unpack` as `tables` unpacks
+        every word, and read through their transposed views.  Each block is
+        unpacked only when it is drawn, so a caller that reads one block at
+        a time holds no table of size n^2.
+        """
+        n, col = self.orders[i], int(self.starts[i])
+        for start in range(0, n, _WORD):
+            j = start // _WORD
+            dist, pos, neg = self._unpack(np.s_[j : j + 1], np.s_[col : col + n], min(_WORD, n - start))
+            for a in (dist, pos, neg):
+                a.flags.writeable = False
+            yield start, SignedDistances(dist=dist.T, pos=pos.T.view(bool), neg=neg.T.view(bool))
 
 
 def _connected_run(graphs: Sequence[SignedGraph]) -> _Run:
@@ -440,23 +478,47 @@ def distance_matrix(g: SignedGraph, which: str = "max") -> np.ndarray:
     return sd.d_max if w == "max" else sd.d_min
 
 
-def _sorted_pair_arrays(sd: SignedDistances) -> tuple[np.ndarray, np.ndarray]:
-    """The u and the v array of the incompatible pairs u < v, sorted by (distance, u, v)."""
-    # `nonzero` lists the pairs in (u, v) order, which a stable sort keeps
-    # among pairs at one distance.
-    u, v = np.nonzero(np.triu(sd.incompatible, k=1))
-    order = np.argsort(sd.dist[u, v], kind="stable")
-    return u[order], v[order]
+def _distance_blocks(g: SignedGraph, which: str = "max") -> Iterator[np.ndarray]:
+    """D^max or D^min of g as int64 blocks of 64 rows, top to bottom.
+
+    The pass runs, and refuses a disconnected graph, in this call; each
+    block is unpacked from its words (`_Run.blocks`) only when drawn.
+    """
+    w = _check_which(which)
+    run = _connected_run([g])
+    return (rows.d_max if w == "max" else rows.d_min for _, rows in run.blocks())
 
 
-def _sorted_pairs(sd: SignedDistances) -> list[tuple[int, int]]:
-    u, v = _sorted_pair_arrays(sd)
+def _block_pairs(start: int, rows: SignedDistances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The u, v and distance arrays of the incompatible pairs u < v in a
+    block of rows from row `start`, in (u, v) order."""
+    # Cell (k, c) of the block's columns from `start` on is pair
+    # (start + k, start + c), past the diagonal when c > k; the columns
+    # before `start` are below it in every row of the block.
+    k, c = np.nonzero(np.triu(rows.pos[:, start:] & rows.neg[:, start:], k=1))
+    v = c + start
+    return k + start, v, rows.dist[k, v]
+
+
+def _sorted_pair_arrays(blocks: Iterable[tuple[int, SignedDistances]]) -> tuple[np.ndarray, np.ndarray]:
+    """The u and the v array of the incompatible pairs u < v, sorted by
+    (distance, u, v), from one graph's `(start, rows)` blocks in row order,
+    as `_Run.blocks` yields them; `[(0, sd)]` passes whole tables."""
+    us, vs, ds = zip(*(_block_pairs(start, rows) for start, rows in blocks))
+    # Each block lists its pairs in (u, v) order and the blocks come in row
+    # order, which a stable sort keeps among pairs at one distance.
+    order = np.argsort(np.concatenate(ds), kind="stable")
+    return np.concatenate(us)[order], np.concatenate(vs)[order]
+
+
+def _sorted_pairs(blocks: Iterable[tuple[int, SignedDistances]]) -> list[tuple[int, int]]:
+    u, v = _sorted_pair_arrays(blocks)
     return list(zip(u.tolist(), v.tolist()))
 
 
 def incompatible_pairs(g: SignedGraph) -> list[tuple[int, int]]:
     """Vertex pairs with shortest paths of both signs, sorted by (distance, u, v)."""
-    return _sorted_pairs(signed_distances(g))
+    return _sorted_pairs(_connected_run([g]).blocks())
 
 
 def is_compatible(g: SignedGraph) -> bool:
@@ -490,18 +552,19 @@ class IncompatibilityWitness:
 
 
 def _opposite_paths(
-    g: SignedGraph, sd: SignedDistances, u: int, v: int, edges: np.ndarray
+    g: SignedGraph, row: tuple[np.ndarray, np.ndarray, np.ndarray], u: int, v: int, edges: np.ndarray
 ) -> tuple[list[int], list[int]]:
     """A positive and a negative shortest u-v path of g, each walked back
-    from v through row u of `sd`, at every step taking the first neighbour
-    one hop closer to u through which the remaining sign is achievable.
+    from v through `row`, row u's `(dist, pos, neg)` arrays, at every step
+    taking the first neighbour one hop closer to u through which the
+    remaining sign is achievable.
 
     Both paths must pass `_certify_path` against g's `(u, v, sign)` rows
-    `edges`, `_edge_rows([g])`, and row u of `sd` must pass `_certify`
-    against them, so no uncertified path is returned.  RuntimeError names
-    the pair when a certificate fails or `sd` supports no path of a sign.
+    `edges`, `_edge_rows([g])`, and row u must pass `_certify` against
+    them, so no uncertified path is returned.  RuntimeError names the pair
+    when a certificate fails or the row supports no path of a sign.
     """
-    dist, pos, neg = (a[u].tolist() for a in (sd.dist, sd.pos, sd.neg))
+    dist, pos, neg = (a.tolist() for a in row)
     paths = []
     for target in (1, -1):
         path, need, cur = [v], target, v
@@ -517,17 +580,18 @@ def _opposite_paths(
         path.reverse()
         paths.append(path)
     for path, target in zip(paths, (1, -1)):
-        _certify_path(g, sd, u, v, path, target, edges)
+        _certify_path(g, row[0], u, v, path, target, edges)
     # Row u, read as the tables from source u: the row the walks read.
-    _certify(edges, [g.m], [g.n], [u], sd.dist.T[:, [u]], sd.pos.T[:, [u]], sd.neg.T[:, [u]])
+    _certify(edges, [g.m], [g.n], [u], *(a[:, None] for a in row))
     return paths[0], paths[1]
 
 
 def _certify_path(
-    g: SignedGraph, sd: SignedDistances, u: int, v: int, path: list[int], target: int, edges: np.ndarray
+    g: SignedGraph, dist: np.ndarray, u: int, v: int, path: list[int], target: int, edges: np.ndarray
 ) -> None:
     """Raise RuntimeError naming the pair (u, v) unless `path` has its steps
-    among the edges of g, sign `target` and length `sd.dist[u, v]`.
+    among the edges of g, sign `target` and length `dist[v]`, `dist` being
+    row u of the distances.
 
     Each step is searched for among the edge keys u*n + v of `edges`, the
     rows of the sorted `g.edges`, and the path's sign is the product of its
@@ -538,10 +602,10 @@ def _certify_path(
     keys = np.minimum(a, b) * g.n + np.maximum(a, b)
     edge_keys = edges[:, 0] * g.n + edges[:, 1]
     at = np.minimum(np.searchsorted(edge_keys, keys), g.m - 1)
-    if not (np.array_equal(edge_keys[at], keys) and np.prod(edges[at, 2]) == target and len(keys) == sd.dist[u, v]):
+    if not (np.array_equal(edge_keys[at], keys) and np.prod(edges[at, 2]) == target and len(keys) == dist[v]):
         raise RuntimeError(
             f"pair ({u},{v}): path {path} of sign {target:+d} fails its certificate "
-            f"against distance {sd.dist[u, v]}"
+            f"against distance {dist[v]}"
         )
 
 
@@ -639,8 +703,8 @@ def _certify(
     blocks of at most `_CERT_CELLS` gathered cells.
 
     `_Run.tables` runs it over every source of a batch; a witness runs it
-    over the one source u of its pair, row u of its tables read as the
-    tables from u, to hold its two paths to the hop distance.
+    over the one source u of its pair, row u read as the tables from u, to
+    hold its two paths to the hop distance.
     """
     half = _half_edges(edges, orders, sizes)
     # Per vertex, as a column: its order and its number in its graph.
@@ -676,13 +740,24 @@ def least_incompatible_witness(g: SignedGraph) -> IncompatibilityWitness | None:
     # The run's edge rows also serve the path certificate, which builds its
     # own half-edges from them.
     run = _connected_run([g])
-    sd = run.tables()[0]
-    bad = np.triu(sd.incompatible, k=1)
-    if not bad.any():
+    if not run.flags()[0]:
         return None
-    least = bad & (sd.dist == sd.dist[bad].min())
-    u, v = divmod(int(np.argmax(least)), g.n)
-    p_pos, p_neg = _opposite_paths(g, sd, u, v, run.edges)
+    # The least distance and first pair of the blocks read so far, and the
+    # pair's row; a later block replaces them only at a smaller distance.
+    least = None
+    for start, rows in run.blocks():
+        u, v, d = _block_pairs(start, rows)
+        if len(d):
+            i = int(np.argmin(d))
+            if least is None or d[i] < least[0]:
+                k = u[i] - start
+                least = d[i], int(u[i]), int(v[i]), (rows.dist[k], rows.pos[k], rows.neg[k])
+            # No pair is incompatible at distance 1, where an edge is the
+            # only shortest path: no later block can come closer.
+            if d[i] == 2:
+                break
+    _, u, v, row = least
+    p_pos, p_neg = _opposite_paths(g, row, u, v, run.edges)
     if set(p_pos[1:-1]) & set(p_neg[1:-1]):
         raise AssertionError(f"opposite-sign shortest paths of least incompatible pair ({u},{v}) intersect")
     return IncompatibilityWitness(

@@ -410,7 +410,7 @@ def _incompatible_products(pairs: list[tuple[int, SignedGraph, SignedGraph]]) ->
         kron = [_matrix_edges(np.kron(_signed_adjacency(part[i][1]), _signed_adjacency(part[i][2]))) for i in keep]
         for i, sd in zip(keep, run.tables(keep, check=kron)):
             t, g1, g2 = part[i]
-            out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(_sorted_pairs(sd))))
+            out.append(ConjectureCandidate(trial=t, g1=g1, g2=g2, product_pairs=tuple(_sorted_pairs([(0, sd)]))))
     return out
 
 
@@ -427,5 +427,5 @@ def _certify_factors(candidates: list[ConjectureCandidate]) -> None:
         tables = _Run.of(graphs[cut]).tables(check=[_edge_rows([g]) for g in graphs[cut]])
         for i, sd in zip(range(cut.start, cut.stop), tables):
             if sd.incompatible.any():
-                (u, v), c = _sorted_pairs(sd)[0], candidates[i // 2]
+                (u, v), c = _sorted_pairs([(0, sd)])[0], candidates[i // 2]
                 raise RuntimeError(f"pair ({u},{v}): factor g{i % 2 + 1} of trial {c.trial} has shortest paths of both signs")

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,47 @@ def test_witness_golden(capsys, tmp_path, fmt, digest):
     assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
 
 
+def dist_graphs():
+    """The witness graphs, whose cycles run 75 and 150 levels, P_300, which
+    needs nine distance planes, and C_1000, whose sources span sixteen words."""
+    rng = random.Random(26)
+    return witness_graphs() + [
+        sg.path_graph(300, [rng.choice((1, -1)) for _ in range(299)]),
+        sg.cycle_graph(1000, [rng.choice((1, -1)) for _ in range(1000)]),
+    ]
+
+
+def block_edge_graphs():
+    """K1 and seeded connected graphs of orders 63, 64, 65 and 129, around
+    the edges of the 64-row blocks: G(n, 2 ln(n)/n) on 63 and 65 vertices
+    and signed cycles on 64 and 129."""
+    rng = random.Random(28)
+
+    def draw(n):
+        while True:
+            g = sg.random_signed_gnp(n, 2 * math.log(n) / n, rng)
+            if sg.is_connected(g):
+                return g
+
+    def cycle(n):
+        return sg.cycle_graph(n, [rng.choice((1, -1)) for _ in range(n)])
+
+    return [sg.SignedGraph(1, ()), draw(63), cycle(64), draw(65), cycle(129)]
+
+
+def command_digest(capsys, tmp_path, graphs, *argv):
+    """sha256 of the stdout of `<argv[0]> FILE <argv[1:]>` over the graphs,
+    each run exiting 0 without a word on stderr."""
+    out = []
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"g{i}.sg"
+        path.write_text(sg.serialize_edge_list(g), encoding="utf-8")
+        code, printed, err = invoke(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, "")
+        out.append(printed)
+    return hashlib.sha256("".join(out).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "fmt, which, digest",
     [
@@ -325,22 +367,54 @@ def test_witness_golden(capsys, tmp_path, fmt, digest):
     ids=["json-max", "csv-min"],
 )
 def test_dist_golden(capsys, tmp_path, fmt, which, digest):
-    # Pins the bytes of `dist` on the witness graphs, whose cycles run 75
-    # and 150 levels, on P_300, which needs nine distance planes, and on
-    # C_1000, whose sources span sixteen words.
-    rng = random.Random(26)
-    graphs = witness_graphs() + [
-        sg.path_graph(300, [rng.choice((1, -1)) for _ in range(299)]),
-        sg.cycle_graph(1000, [rng.choice((1, -1)) for _ in range(1000)]),
-    ]
-    out = []
-    for i, g in enumerate(graphs):
+    # Pins the bytes of `dist` on `dist_graphs()`.
+    assert command_digest(capsys, tmp_path, dist_graphs(), "dist", "--which", which, "--format", fmt) == digest
+
+
+@pytest.mark.parametrize(
+    "fmt, which, digest",
+    [
+        ("json", "min", "e37c324542a1b03abea82e926cc3a30aaa5bd94b8f37c9724475ebe493eee856"),
+        ("csv", "max", "5099dd9e329d0765ef0e29ca3bfa7a0b778d748d2716f28d5a45e4e0ba235bf2"),
+    ],
+    ids=["json-min", "csv-max"],
+)
+def test_dist_golden_other_formats(capsys, tmp_path, fmt, which, digest):
+    # The two (format, matrix) pairs `test_dist_golden` leaves out, on its
+    # graphs and on orders around the 64-row blocks.
+    graphs = dist_graphs() + block_edge_graphs()
+    assert command_digest(capsys, tmp_path, graphs, "dist", "--which", which, "--format", fmt) == digest
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "30ba55e6d7e55b4c86ef1e152578f10701584747ee32875e2ec79933d93159d0"),
+        ("json", "3a34ae3b01d19299c4532d344c22d5cc9010846fa0a1b85fb5b9587cddd8dcb4"),
+    ],
+    ids=["text", "json"],
+)
+def test_compat_golden_on_dist_graphs(capsys, tmp_path, fmt, digest):
+    # Pins the bytes of `compat` on incompatible graphs whose pairs lie at
+    # many distances, on P_300 and on C_1000.
+    assert command_digest(capsys, tmp_path, dist_graphs(), "compat", "--format", fmt) == digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("which", ["max", "min"])
+def test_dist_output_file_holds_printed_bytes(capsys, tmp_path, fmt, which):
+    # `dist -o FILE` writes the bytes `dist` prints, less the newline print
+    # adds after json, on every block edge and on C_1000's sixteen blocks.
+    for i, g in enumerate(block_edge_graphs() + dist_graphs()[-1:]):
         path = tmp_path / f"g{i}.sg"
         path.write_text(sg.serialize_edge_list(g), encoding="utf-8")
-        code, printed, err = invoke(capsys, "dist", str(path), "--which", which, "--format", fmt)
+        argv = ["dist", str(path), "--which", which, "--format", fmt]
+        code, printed, err = invoke(capsys, *argv)
         assert (code, err) == (0, "")
-        out.append(printed)
-    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+        target = tmp_path / f"g{i}.out"
+        assert invoke(capsys, *argv, "-o", str(target)) == (0, "", "")
+        written = target.read_bytes()
+        assert printed.encode() == (written if fmt == "csv" else written + b"\n")
 
 
 @pytest.mark.parametrize(
@@ -577,8 +651,22 @@ def _int64_matrices(max_side=6):
 @example(np.full((3, 3), 2))
 @example(np.array([[-1, -2, -12], [-2, -1, -10]]))
 def test_matrix_payload_matches_json_dumps_and_str(mat):
-    assert _matrix_payload(mat, "json") == json.dumps({"order": mat.shape[0], "entries": mat.tolist()})
-    assert _matrix_payload(mat, "csv") == "\n".join(",".join(map(str, row)) for row in mat.tolist()) + "\n"
+    assert "".join(_matrix_payload([mat], len(mat), "json")) == json.dumps({"order": len(mat), "entries": mat.tolist()})
+    assert "".join(_matrix_payload([mat], len(mat), "csv")) == "\n".join(",".join(map(str, row)) for row in mat.tolist()) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int64_matrices(), st.data())
+@example(np.array([[0, 1], [-5, 0], [0, 9]]), None)
+def test_matrix_payload_of_row_blocks_matches_one_block(mat, data):
+    # Cut into blocks of rows, some of which widen the range of values.
+    if data is None:
+        cuts = [1, 2]
+    else:
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(mat) - 1)))) if len(mat) > 1 else []
+    blocks = np.split(mat, cuts)
+    for fmt in ("json", "csv"):
+        assert "".join(_matrix_payload(blocks, len(mat), fmt)) == "".join(_matrix_payload([mat], len(mat), fmt))
 
 
 def test_dist_payloads_match_json_dumps_on_distance_matrices():
@@ -588,8 +676,8 @@ def test_dist_payloads_match_json_dumps_on_distance_matrices():
     for g in graphs:
         for which in ("max", "min"):
             mat = sg.distance_matrix(g, which)
-            assert _matrix_payload(mat, "json") == json.dumps({"order": g.n, "entries": mat.tolist()})
-            assert _matrix_payload(mat, "csv") == "".join(",".join(map(str, r)) + "\n" for r in mat.tolist())
+            assert "".join(_matrix_payload([mat], g.n, "json")) == json.dumps({"order": g.n, "entries": mat.tolist()})
+            assert "".join(_matrix_payload([mat], g.n, "csv")) == "".join(",".join(map(str, r)) + "\n" for r in mat.tolist())
 
 
 @pytest.mark.parametrize(
@@ -613,6 +701,16 @@ def test_compat_json_matches_json_dumps(capsys, tmp_path, g, n_pairs):
     assert invoke(capsys, "compat", str(path), "--format", "json") == (0, want + "\n", "")
     text = "incompatible: " + " ".join(f"({u},{v})" for u, v in pairs) if pairs else "compatible"
     assert invoke(capsys, "compat", str(path)) == (0, text + "\n", "")
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_compat_text_does_not_depend_on_its_piece_size(capsys, tmp_path, monkeypatch, size):
+    # 590 pairs over pieces of 1, 2 and 7 pairs, the last one short.
+    path = tmp_path / "g.sg"
+    path.write_text(sg.serialize_edge_list(sg.random_signed_gnp(60, 0.08, random.Random(17))), encoding="utf-8")
+    want = [invoke(capsys, "compat", str(path), "--format", fmt) for fmt in ("text", "json")]
+    monkeypatch.setattr(sg.cli, "_PAIR_PIECE", size)
+    assert [invoke(capsys, "compat", str(path), "--format", fmt) for fmt in ("text", "json")] == want
 
 
 def test_module_entry_point_runs_the_cli(fixtures, tmp_path):
@@ -760,3 +858,112 @@ def test_conjecture_rerun_into_one_outdir_matches_fresh_run(capsys, tmp_path):
     assert {n: after[n] for n in names_b} == expected
     overlap = names_a & names_b
     assert overlap and any(len(expected[n]) < len(before[n]) for n in overlap)
+
+
+@pytest.mark.parametrize("command", ["dist", "compat", "witness"])
+@pytest.mark.parametrize("case", ["parse-error", "disconnected"])
+def test_refusal_leaves_an_existing_output_untouched(capsys, tmp_path, command, case):
+    # A refused graph exits 1 with its message before any output: the
+    # existing -o file keeps its bytes and its mtime, and stdout stays empty.
+    graph = tmp_path / "g.sg"
+    if case == "parse-error":
+        graph.write_text("3 3\n0 1 +\n1 2 +\n0 2 +\n0 2 +\n", encoding="utf-8")
+        err = f"error: {graph}: line 5: duplicate edge (0,2)\n"
+    else:
+        graph.write_text(sg.serialize_edge_list(DISCONNECTED), encoding="utf-8")
+        err = NOT_CONNECTED
+    target = tmp_path / "out.txt"
+    target.write_bytes(b"old bytes\n")
+    os.utime(target, ns=(10**18, 10**18))
+    assert invoke(capsys, command, str(graph), "-o", str(target)) == (1, "", err)
+    assert target.read_bytes() == b"old bytes\n"
+    assert target.stat().st_mtime_ns == 10**18
+
+
+@pytest.mark.parametrize("command", ["dist", "compat", "witness"])
+def test_pass_finishes_before_the_output_opens(fixtures, capsys, tmp_path, monkeypatch, command):
+    events = []
+    real_pass, real_open = sg.distance._edge_bitsets, os.open
+    target = tmp_path / "out.txt"
+
+    def recording_pass(*args):
+        out = real_pass(*args)
+        events.append("pass")
+        return out
+
+    def recording_open(path, flags, *rest):
+        if os.fspath(path) == str(target):
+            events.append("open")
+        return real_open(path, flags, *rest)
+
+    monkeypatch.setattr(sg.distance, "_edge_bitsets", recording_pass)
+    monkeypatch.setattr(os, "open", recording_open)
+    assert invoke(capsys, command, fixtures["c4"], "-o", str(target)) == (0, "", "")
+    assert events == ["pass", "open"]
+
+
+def test_write_takes_a_str_whole_and_pieces_in_turn(tmp_path, monkeypatch):
+    # A str is one piece, not one piece per character.
+    writes = []
+    real_open = open
+
+    class Recording:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            self.f.__enter__()
+            return self
+
+        def __exit__(self, *exc):
+            return self.f.__exit__(*exc)
+
+        def write(self, text):
+            writes.append(text)
+            return self.f.write(text)
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+    monkeypatch.setattr(sg.cli, "open", lambda *a, **k: Recording(real_open(*a, **k)), raising=False)
+    target = tmp_path / "out.txt"
+    sg.cli._write(target, "0,1\n1,0\n")
+    assert writes == ["0,1\n1,0\n"] and target.read_text() == "0,1\n1,0\n"
+    writes.clear()
+    sg.cli._write(target, iter(["0,1\n", "1,0\n"]))
+    assert writes == ["0,1\n", "1,0\n"] and target.read_text() == "0,1\n1,0\n"
+
+
+def order_2000_graph():
+    """A seeded connected signed graph of order 2000 with 3n edges: a path
+    through a random order of the vertices plus random chords."""
+    rng = random.Random(2000)
+    n = 2000
+    walk = list(range(n))
+    rng.shuffle(walk)
+    edges = {(min(a, b), max(a, b)) for a, b in zip(walk, walk[1:])}
+    while len(edges) < 3 * n:
+        a, b = rng.sample(range(n), 2)
+        edges.add((min(a, b), max(a, b)))
+    return sg.SignedGraph.from_edges(n, [(a, b, rng.choice((1, -1))) for a, b in sorted(edges)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dist", "--format", "csv", "-o", "{out}"], ["witness", "--format", "json"]],
+    ids=["dist-csv", "witness-json"],
+)
+def test_row_block_commands_trace_under_30_mib(capsys, tmp_path, argv):
+    # `dist` streams its text and `witness` reads row blocks: neither holds
+    # an n x n table.  numpy reports its buffers to tracemalloc.
+    path = tmp_path / "g.sg"
+    path.write_text(sg.serialize_edge_list(order_2000_graph()), encoding="utf-8")
+    argv = [argv[0], str(path)] + [a.replace("{out}", str(tmp_path / "out.txt")) for a in argv[1:]]
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert peak < 30 * 2**20, f"{peak / 2**20:.1f} MiB"

@@ -910,11 +910,99 @@ def test_witness_pair_is_the_first_sorted_pair(g):
     # The witness takes its pair without sorting; it must be the first of the
     # pairs sorted by (distance, u, v), and those must be sorted.
     sd = sg.signed_distances(g)
-    pairs = distance._sorted_pairs(sd)
+    pairs = distance._sorted_pairs([(0, sd)])
     dist = sd.dist.tolist()
     assert pairs == sorted(pairs, key=lambda p: (dist[p[0]][p[1]], p))
     w = sg.least_incompatible_witness(g)
     assert (w and w.pair) == (pairs[0] if pairs else None)
+
+
+# -- row blocks --------------------------------------------------------------
+
+def block_graphs(max_n: int = 200):
+    """Connected graphs of order 1 to `max_n`: random ones, and ones on
+    either side of a multiple of 64, whose span-1 trees are paths (at order
+    129 or more, eight distance planes or more)."""
+    edges = st.sampled_from([1, 63, 64, 65, 127, 128, 129, 191, 192, 193]).flatmap(
+        lambda n: wide_connected_signed_graphs(n, n)
+    )
+    return st.one_of(wide_connected_signed_graphs(1, max_n), edges)
+
+
+def path_with_cycles():
+    """C8 with one negative edge on vertices 0-7, a path 7-66 and C4 with
+    one negative edge on 66-69: incompatible pairs at distance 4 in the
+    first block of rows and at distance 2 only in the second."""
+    edges = [(i, i + 1, 1) for i in range(7)] + [(0, 7, -1)]
+    edges += [(i, i + 1, 1) for i in range(7, 66)]
+    edges += [(66, 67, 1), (67, 68, 1), (68, 69, 1), (66, 69, -1)]
+    return sg.SignedGraph.from_edges(70, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(block_graphs(), signed_graphs()), min_size=1, max_size=3))
+@example([sg.path_graph(129, [(-1) ** (i // 5) for i in range(128)])])
+@example([sg.SignedGraph(1, ()), sg.path_graph(200, [1] * 199), sg.SignedGraph(2, ())])
+def test_blocks_stack_to_the_tables(graphs):
+    # Each graph's blocks, stacked in order, are its tables, planes past
+    # one byte included; a disconnected graph of the batch reads alike.
+    run = distance._Run.of(graphs)
+    for i, (g, sd) in enumerate(zip(graphs, run.tables())):
+        blocks = list(run.blocks(i))
+        assert [start for start, _ in blocks] == list(range(0, g.n, 64))
+        for name in ("dist", "pos", "neg"):
+            parts = [getattr(rows, name) for _, rows in blocks]
+            assert not any(a.flags.writeable for a in parts)
+            stacked = np.concatenate(parts)
+            assert stacked.dtype == getattr(sd, name).dtype
+            assert np.array_equal(stacked, getattr(sd, name))
+
+
+def oracle_pairs(g):
+    """(distance, u, v) of the incompatible pairs u < v, sorted, from one
+    `signed_bfs` per source."""
+    return sorted(
+        (summ.d, u, v) for u in range(g.n) for v, summ in enumerate(signed_bfs(g, u)) if v > u and not summ.compatible
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_graphs())
+@example(C4_ONE_NEG)
+@example(sg.cycle_graph(150, [-1] + [1] * 149))
+@example(sg.cycle_graph(130, [-1] * 130))
+@example(path_with_cycles())
+def test_pairs_and_witness_match_the_oracle(g):
+    # The block routes against `signed_bfs`: every pair in (distance, u, v)
+    # order, and the witness of the first, whose paths are shortest, of
+    # their signs and internally disjoint.
+    want = oracle_pairs(g)
+    assert sg.incompatible_pairs(g) == [(u, v) for _, u, v in want]
+    w = sg.least_incompatible_witness(g)
+    if not want:
+        assert w is None
+        return
+    d, u, v = want[0]
+    assert (w.pair, w.k) == ((u, v), d)
+    for path, sign in ((w.path_pos, 1), (w.path_neg, -1)):
+        assert (path[0], path[-1], len(path)) == (u, v, d + 1)
+        assert np.prod([g.sign(a, b) for a, b in zip(path, path[1:])]) == sign
+    assert not set(w.path_pos[1:-1]) & set(w.path_neg[1:-1])
+
+
+def test_witness_of_a_compatible_graph_reads_no_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block was read")
+
+    monkeypatch.setattr(distance._Run, "blocks", refuse)
+    monkeypatch.setattr(distance._Run, "tables", refuse)
+    assert sg.least_incompatible_witness(sg.cycle_graph(200, [1] * 200)) is None
+
+
+def test_witness_takes_the_least_pair_from_a_later_block():
+    g = path_with_cycles()
+    assert sg.incompatible_pairs(g)[:2] == [(66, 68), (67, 69)]
+    assert sg.least_incompatible_witness(g).pair == (66, 68)
 
 
 # -- associated complete graph ------------------------------------------------

@@ -412,13 +412,18 @@ def test_conjecture_pairs_in_large_products_are_incompatible():
             assert nx_path_signs(prod, u, v) == {1, -1}
 
 
+def row(sd, u):
+    """Row u of the tables, as `_opposite_paths` reads it."""
+    return sd.dist[u], sd.pos[u], sd.neg[u]
+
+
 def test_opposite_paths_certify_every_reported_pair():
     prod = sg.tensor(K2P, sg.complete_graph(4, 1).with_signs([1, 1, 1, 1, -1, 1]))
     sd = sg.signed_distances(prod)
     for u in range(prod.n):
         vs = [v for v in range(prod.n) if sd.incompatible[u, v]]
         for v in vs:
-            for path, sign in zip(_opposite_paths(prod, sd, u, v, _edge_rows([prod])), (1, -1)):
+            for path, sign in zip(_opposite_paths(prod, row(sd, u), u, v, _edge_rows([prod])), (1, -1)):
                 assert (path[0], path[-1], len(path) - 1) == (u, v, sd.dist[u, v])
                 assert math.prod(prod.sign(a, b) for a, b in zip(path, path[1:])) == sign
 
@@ -450,7 +455,7 @@ def test_opposite_paths_reject_corrupted_distances():
     ]
     for g, sd in cases:
         with pytest.raises(RuntimeError, match=r"pair \(0,2\)"):
-            _opposite_paths(g, sd, 0, 2, _edge_rows([g]))
+            _opposite_paths(g, row(sd, 0), 0, 2, _edge_rows([g]))
 
 
 def test_witness_certifies_row_u_of_its_tables():
@@ -460,21 +465,21 @@ def test_witness_certifies_row_u_of_its_tables():
     # certificate of row u, the row the walk read, sees it.
     g = sg.SignedGraph.from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1), (1, 4, -1)])
     sd = sg.signed_distances(g)
-    assert _opposite_paths(g, sd, 0, 2, _edge_rows([g])) == ([0, 1, 2], [0, 3, 2])
+    assert _opposite_paths(g, row(sd, 0), 0, 2, _edge_rows([g])) == ([0, 1, 2], [0, 3, 2])
     for name, value in (("dist", 1), ("dist", 3), ("pos", True), ("neg", False)):
         arrays = {"dist": sd.dist.copy(), "pos": sd.pos.copy(), "neg": sd.neg.copy()}
         arrays[name][0, 4] = value
         bad = sg.SignedDistances(**arrays)
         assert not np.array_equal(getattr(bad, name), getattr(bad, name).T)
         with pytest.raises(RuntimeError, match=r"^pair \(0,4\): distance \d+, positive \w+ and negative \w+ fail"):
-            _opposite_paths(g, bad, 0, 2, _edge_rows([g]))
+            _opposite_paths(g, row(bad, 0), 0, 2, _edge_rows([g]))
 
 
 def test_certificate_refuses_a_step_off_the_graph():
     # d(0, 2) = 2 through 0-1-2, which is positive; 0-3-4-2 is negative.
     g = sg.SignedGraph(5, ((0, 1, 1), (0, 3, -1), (1, 2, 1), (2, 4, 1), (3, 4, 1)))
     sd, edges = sg.signed_distances(g), _edge_rows([g])
-    distance._certify_path(g, sd, 0, 2, [0, 1, 2], 1, edges)
+    distance._certify_path(g, sd.dist[0], 0, 2, [0, 1, 2], 1, edges)
     cases = [
         # the BFS length and, through its one real edge, the negative sign;
         # its step 3-2 is not an edge of g
@@ -486,7 +491,7 @@ def test_certificate_refuses_a_step_off_the_graph():
     ]
     for path, target in cases:
         with pytest.raises(RuntimeError, match=rf"^pair \(0,2\): path {re.escape(str(path))} of sign {target:+d} fails"):
-            distance._certify_path(g, sd, 0, 2, path, target, edges)
+            distance._certify_path(g, sd.dist[0], 0, 2, path, target, edges)
 
 
 def test_conjecture_search_raises_on_failed_certificate(monkeypatch):
