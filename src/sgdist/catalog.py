@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SignedGraph, _SIGN_TOKENS, _check_sign, _vertex_count
+from .core import SignedGraph, _SIGN_TOKENS, _bfs, _check_sign, _vertex_count
 from .distance import _connected_run
 from .spectra import IntPolynomial, _compatible_matrix, char_poly_batch
 
@@ -181,25 +181,17 @@ def _signing(code: int) -> SignedGraph:
 def _fundamental_cycle_masks() -> list[int]:
     """15-bit edge masks of the 6 fundamental cycles of a BFS spanning tree.
 
-    Bit b stands for edge b of PETERSEN_EDGES.  A non-tree edge's cycle is
-    the edge plus the tree path between its ends, which is the XOR of the
-    ends' root-path masks.
+    Bit b stands for edge b of PETERSEN_EDGES.  With edge b alone negative,
+    the tree-path signs of `core._bfs` from vertex 0 are -1 exactly at the
+    vertices whose root path runs through b: b is a tree edge iff some sign
+    is -1.  A non-tree edge uv closes the cycle of uv and the tree path
+    between u and v, which holds tree edge b iff b is on exactly one of the
+    two root paths, i.e. the signs of u and v differ with b negative.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(10)]
-    for i, (u, v) in enumerate(PETERSEN_EDGES):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    root_path = {0: 0}
-    tree: set[int] = set()
-    queue = [0]
-    for x in queue:
-        for y, i in adj[x]:
-            if y not in root_path:
-                root_path[y] = root_path[x] | (1 << i)
-                tree.add(i)
-                queue.append(y)
+    signs = [_bfs(_signing(1 << b), (0,))[1] for b in range(15)]
+    tree = [b for b in range(15) if -1 in signs[b]]
     return [
-        (1 << i) ^ root_path[u] ^ root_path[v]
+        (1 << i) | sum(1 << b for b in tree if signs[b][u] != signs[b][v])
         for i, (u, v) in enumerate(PETERSEN_EDGES)
         if i not in tree
     ]

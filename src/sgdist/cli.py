@@ -46,7 +46,7 @@ _PAIR_PIECE = 1 << 16
 def _read_graph(path: str) -> core.SignedGraph:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return core.parse_edge_list(text)

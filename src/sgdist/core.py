@@ -5,17 +5,16 @@ A signed graph is a simple undirected graph whose edges carry a sign in
 ints; every boundary that accepts a sign validates it.
 
 Signed distances and compatibility come from the all-sources pass of
-`distance`.  The package's other breadth-first searches are the two here:
-`_bfs_dist`, the unsigned hop distances from one source (connectivity,
-geodeticity and the odd/even walks of `products`), and `_potential`, the
-+1/-1 vertex labelling that exists iff the graph is balanced (or, with
-every edge read as negative, bipartite).
+`distance`.  The package's other breadth-first search is `_bfs` here: one
+forest, grown from given roots, whose levels, tree-path signs and
+"reached twice from the level above" flag answer balance, bipartiteness,
+connectivity and geodeticity here, the odd/even walks of `products` (on the
+double cover g x K2) and the Petersen cycle basis of `catalog`.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
@@ -269,38 +268,45 @@ def _check_vertex(g: SignedGraph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
 
 
-def _potential(g: SignedGraph, signed: bool) -> list[int] | None:
-    """Vertex labelling zeta with zeta[u]*s*zeta[v] = +1 on every edge uv,
-    where s is the edge sign if `signed` and -1 otherwise.
+def _bfs(g: SignedGraph, roots: Iterable[int]) -> tuple[list[int], list[int], bool]:
+    """One breadth-first forest of g: each root not yet reached starts a tree.
 
-    Assigned by BFS per component; returns None on the first edge that
-    contradicts the assignment.
+    Returns `(dist, sign, unique)`: the hop distance of every vertex from
+    its tree's root (-1 when no root reaches it), the product of the edge
+    signs along its tree path (0 when unreached), and whether no vertex was
+    met a second time from the level above it, i.e. none has two
+    neighbours one hop closer to its root.
     """
-    zeta = [0] * g.n
-    for root in range(g.n):
-        if zeta[root]:
+    dist = [-1] * g.n
+    sign = [0] * g.n
+    unique = True
+    adj = g.adjacency
+    for root in roots:
+        if dist[root] >= 0:
             continue
-        zeta[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, s in g.adjacency[u]:
-                if not signed:
-                    s = -1
-                if zeta[v] == 0:
-                    zeta[v] = zeta[u] * s
+        dist[root] = 0
+        sign[root] = 1
+        queue = [root]
+        for u in queue:
+            d, z = dist[u] + 1, sign[u]
+            for v, s in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = d
+                    sign[v] = z * s
                     queue.append(v)
-                elif zeta[u] * s * zeta[v] != 1:
-                    return None
-    return zeta
+                elif dist[v] == d:
+                    unique = False
+    return dist, sign, unique
 
 
 def balance_potential(g: SignedGraph) -> list[int] | None:
     """Vertex signing zeta with zeta[u]*sign(uv)*zeta[v] = +1 on every edge.
 
-    Exists iff g is balanced (every cycle positive); None otherwise.
+    Exists iff g is balanced (every cycle positive); None otherwise.  The
+    forest's tree-path signs are the only candidate with +1 at each root.
     """
-    return _potential(g, signed=True)
+    zeta = _bfs(g, range(g.n))[1]
+    return zeta if all(zeta[u] * s == zeta[v] for u, v, s in g.edges) else None
 
 
 def is_balanced(g: SignedGraph) -> bool:
@@ -326,20 +332,11 @@ def cycle_sign(g: SignedGraph, cycle: Sequence[int]) -> int:
 
 def _bfs_dist(g: SignedGraph, s: int) -> list[int]:
     """Hop distances from s; -1 marks vertices s cannot reach."""
-    dist = [-1] * g.n
-    dist[s] = 0
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v, _ in g.adjacency[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    return _bfs(g, (s,))[0]
 
 
 def is_connected(g: SignedGraph) -> bool:
-    return all(d >= 0 for d in _bfs_dist(g, 0))
+    return -1 not in _bfs(g, (0,))[0]
 
 
 def is_two_connected(g: SignedGraph) -> bool:
@@ -391,18 +388,14 @@ def is_geodetic(g: SignedGraph) -> bool:
     a unique shortest path from s exactly when none has two neighbours one
     hop closer to s.
     """
-    for s in range(g.n):
-        dist = _bfs_dist(g, s)
-        for v, d in enumerate(dist):
-            if d > 0 and [dist[u] for u, _ in g.adjacency[v]].count(d - 1) > 1:
-                return False
-    return True
+    return all(_bfs(g, (s,))[2] for s in range(g.n))
 
 
 def has_odd_cycle(g: SignedGraph) -> bool:
-    """True iff the underlying graph is non-bipartite, i.e. its all-negative
-    signing is unbalanced."""
-    return _potential(g, signed=False) is None
+    """True iff the underlying graph is non-bipartite: some edge of it joins
+    two vertices of one level of a breadth-first forest."""
+    dist = _bfs(g, range(g.n))[0]
+    return any(dist[u] == dist[v] for u, v, _ in g.edges)
 
 
 @dataclass(frozen=True)

@@ -490,12 +490,13 @@ def _distance_blocks(g: SignedGraph, which: str = "max") -> Iterator[np.ndarray]
 
 
 def _block_pairs(start: int, rows: SignedDistances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The u, v and distance arrays of the incompatible pairs u < v in a
-    block of rows from row `start`, in (u, v) order."""
+    """The int32 u, v and distance arrays of the incompatible pairs u < v in
+    a block of rows from row `start`, in (u, v) order."""
     # Cell (k, c) of the block's columns from `start` on is pair
     # (start + k, start + c), past the diagonal when c > k; the columns
     # before `start` are below it in every row of the block.
     k, c = np.nonzero(np.triu(rows.pos[:, start:] & rows.neg[:, start:], k=1))
+    k, c = k.astype(np.int32), c.astype(np.int32)
     v = c + start
     return k + start, v, rows.dist[k, v]
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignedGraph, _bfs_dist, _check_order, _check_vertex, has_odd_cycle, is_connected
+from .core import SignedGraph, _bfs, _check_order, _check_vertex, has_odd_cycle, is_connected
 from .distance import _Run, _batches, _edge_rows, _matrix_edges, _signed_adjacency, _sorted_pairs
 
 __all__ = [
@@ -142,12 +142,14 @@ class OddEvenDistance:
 
 
 def odd_even_distance(g: SignedGraph, u: int, v: int) -> OddEvenDistance:
-    """Shortest odd/even walk lengths: one BFS on the double cover g x K2."""
+    """Shortest odd/even walk lengths: one BFS on the double cover g x K2,
+    which also tells whether g is connected: every vertex of g is reached
+    at some parity exactly when it lies in u's component."""
     _check_vertex(g, u)
     _check_vertex(g, v)
-    if not is_connected(g):
+    dist = _bfs(tensor(g, SignedGraph(2, ((0, 1, 1),))), (2 * u,))[0]
+    if any(e < 0 and o < 0 for e, o in zip(dist[0::2], dist[1::2])):
         raise ValueError("odd/even distances need a connected graph")
-    dist = _bfs_dist(tensor(g, SignedGraph(2, ((0, 1, 1),))), 2 * u)
     ed, od = dist[2 * v], dist[2 * v + 1]
     return OddEvenDistance(od=od if od >= 0 else math.inf, ed=ed if ed >= 0 else math.inf)
 

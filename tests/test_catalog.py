@@ -99,6 +99,27 @@ def test_representative_keys_match_the_bit_matrix_form():
     assert np.array_equal(catalog._representative_keys(codes), want)
 
 
+def test_fundamental_cycle_masks_are_a_cycle_basis():
+    # Recorded from the spanning tree the census has always used.
+    masks = catalog._fundamental_cycle_masks()
+    assert masks == [31, 3393, 17584, 18961, 5155, 9496]
+    for mask in masks:
+        degree = [0] * 10
+        for b, (u, v) in enumerate(sg.PETERSEN_EDGES):
+            if mask >> b & 1:
+                degree[u] += 1
+                degree[v] += 1
+        assert all(d % 2 == 0 for d in degree), mask
+    # GF(2) elimination: m - n + 1 = 6 independent cycles.
+    basis: dict[int, int] = {}
+    for mask in masks:
+        while mask and mask.bit_length() in basis:
+            mask ^= basis[mask.bit_length()]
+        assert mask, "dependent cycle masks"
+        basis[mask.bit_length()] = mask
+    assert len(basis) == 6
+
+
 def test_census_representatives_minimal(petersen_table):
     # Labels P_{a,b} have minimal representations with a negative edges.
     neg_counts = [sum(1 for *_, s in c.representative.edges if s < 0) for c in petersen_table.classes]

@@ -209,6 +209,14 @@ def test_missing_file_is_domain_error(capsys):
     assert code == 1 and "cannot read" in err
 
 
+def test_undecodable_file_is_a_read_error(capsys, tmp_path):
+    bad = tmp_path / "latin1.sg"
+    bad.write_bytes("2 1\n0 1 +  # \u00e9\n".encode("latin-1"))
+    code, out, err = invoke(capsys, "info", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9 ")
+
+
 def test_parse_error_reports_line(capsys, tmp_path):
     bad = tmp_path / "bad.sg"
     bad.write_text("3 3\n0 1 +\n1 2 +\n0 2 +\n0 2 +\n", encoding="utf-8")
@@ -950,12 +958,17 @@ def order_2000_graph():
 
 @pytest.mark.parametrize(
     "argv",
-    [["dist", "--format", "csv", "-o", "{out}"], ["witness", "--format", "json"]],
-    ids=["dist-csv", "witness-json"],
+    [
+        ["dist", "--format", "csv", "-o", "{out}"],
+        ["witness", "--format", "json"],
+        ["compat", "--format", "json", "-o", "{out}"],
+    ],
+    ids=["dist-csv", "witness-json", "compat-json"],
 )
 def test_row_block_commands_trace_under_30_mib(capsys, tmp_path, argv):
-    # `dist` streams its text and `witness` reads row blocks: neither holds
-    # an n x n table.  numpy reports its buffers to tracemalloc.
+    # `dist` streams its text and `witness` and `compat` read row blocks:
+    # none holds an n x n table, and `compat` sorts int32 vertex arrays.
+    # numpy reports its buffers to tracemalloc.
     path = tmp_path / "g.sg"
     path.write_text(sg.serialize_edge_list(order_2000_graph()), encoding="utf-8")
     argv = [argv[0], str(path)] + [a.replace("{out}", str(tmp_path / "out.txt")) for a in argv[1:]]

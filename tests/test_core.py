@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -514,6 +515,65 @@ def test_two_connected_matches_articulation_oracle():
 )
 def test_two_connected_large_and_edge_cases(g, expected):
     assert sg.is_two_connected(g) is expected
+
+
+# -- the readings of the breadth-first forest -----------------------------------
+
+def _forest_cases() -> list[sg.SignedGraph]:
+    """A seeded set: K1, edgeless graphs, isolated vertices, disconnected
+    graphs, trees, odd and even cycles, Petersen signings and random graphs."""
+    rng = random.Random(3004)
+    k1 = sg.SignedGraph(1, ())
+    graphs = [k1] + [sg.SignedGraph(n, ()) for n in range(2, 6)]
+    for n in range(3, 10):
+        graphs.append(sg.cycle_graph(n, [rng.choice((1, -1)) for _ in range(n)]))
+    for _ in range(40):
+        n = rng.randint(2, 11)
+        graphs.append(sg.SignedGraph(n, tuple((rng.randrange(v), v, rng.choice((1, -1))) for v in range(1, n))))
+    for _ in range(6):
+        graphs.append(sg.petersen_signing([rng.choice((1, -1)) for _ in range(15)]))
+    for _ in range(200):
+        graphs.append(sg.random_signed_gnp(rng.randint(1, 9), rng.uniform(0.1, 0.8), rng))
+    for _ in range(60):
+        g = _disjoint_union(rng.choice(graphs), rng.choice(graphs))
+        graphs.append(_disjoint_union(g, k1) if rng.random() < 0.5 else _disjoint_union(k1, g))
+    return graphs
+
+
+def _forest_readings(g: sg.SignedGraph) -> str:
+    """The structural readings of g, and each pair's odd/even walk lengths
+    or the message that refuses them, as one text."""
+    lines = [repr((sg.balance_potential(g), sg.has_odd_cycle(g), sg.is_connected(g), sg.is_geodetic(g),
+                   sg.is_balanced(g)))]
+    for u in range(g.n):
+        for v in range(g.n):
+            try:
+                lines.append(repr(sg.odd_even_distance(g, u, v)))
+            except ValueError as exc:
+                lines.append(str(exc))
+    return "\n".join(lines) + "\n"
+
+
+def test_is_geodetic_runs_one_bfs_per_source(monkeypatch):
+    from sgdist import core
+
+    roots = []
+    real = core._bfs
+    monkeypatch.setattr(core, "_bfs", lambda g, rs: roots.append(tuple(rs)) or real(g, rs))
+    assert sg.is_geodetic(sg.petersen_graph())
+    assert roots == [(s,) for s in range(10)]
+    roots.clear()
+    # C4 has two shortest paths between opposite vertices: the first source
+    # already refuses it.
+    assert not sg.is_geodetic(sg.cycle_graph(4, [1] * 4))
+    assert roots == [(0,)]
+
+
+def test_forest_readings_match_their_recorded_digest():
+    graphs = _forest_cases()
+    assert any(not sg.is_connected(g) for g in graphs) and any(sg.has_odd_cycle(g) for g in graphs)
+    text = "".join(_forest_readings(g) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == "88478bcec515afa34b474c34e6bf39d645b20948816dc3933fad2be1d14f940c"
 
 
 # -- net degree ---------------------------------------------------------------

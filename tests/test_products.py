@@ -232,6 +232,19 @@ def test_odd_even_distance_examples():
     assert sg.odd_even_distance(c5, 0, 2) == sg.OddEvenDistance(od=3, ed=2)
 
 
+def test_odd_even_distance_runs_one_bfs(monkeypatch):
+    # The cover's one BFS gives both the walk lengths and the connectivity
+    # verdict, on a graph that is refused as on one that is not.
+    calls = []
+    real = products._bfs
+    monkeypatch.setattr(products, "_bfs", lambda g, roots: calls.append(g.n) or real(g, roots))
+    assert sg.odd_even_distance(sg.cycle_graph(5, [1] * 5), 0, 2) == sg.OddEvenDistance(od=3, ed=2)
+    assert calls == [10]
+    with pytest.raises(ValueError, match="^odd/even distances need a connected graph$"):
+        sg.odd_even_distance(sg.SignedGraph(4, ((0, 1, 1), (2, 3, -1))), 0, 1)
+    assert calls == [10, 8]
+
+
 def _walk_parity_distances(g: sg.SignedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Smallest odd / even l <= 2n with (A^l)[u, v] nonzero, from boolean
     matrix powers; inf where there is none."""
@@ -925,7 +938,7 @@ def test_search_and_witness_run_no_python_bfs(monkeypatch):
         raise AssertionError("a Python BFS was called")
 
     for module in (core, distance, products):
-        for name in ("_bfs_dist", "is_connected", "has_odd_cycle"):
+        for name in ("_bfs", "_bfs_dist", "is_connected", "has_odd_cycle"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     assert sg.conjecture_search(300, max_n=7, seed=1) == want
